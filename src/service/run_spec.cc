@@ -1,7 +1,5 @@
 #include "run_spec.hh"
 
-#include <cmath>
-
 #include "sim/memory_system.hh"
 #include "trace/file_trace.hh"
 #include "trace/materialized_trace.hh"
@@ -194,16 +192,14 @@ executeRun(const RunSpec &spec, EventTrace *events,
                       [&spec] { return materializeSpecInput(spec); })
                 : materializeSpecInput(spec);
         const PhaseProfileConfig profile_config;
+        auto build = [&trace, &profile_config] {
+            return buildSamplingPlan(*trace, profile_config);
+        };
         std::shared_ptr<const SamplingPlan> plan =
             use_trace_cache
-                ? cache.getOrBuildPlan(
-                      key + '\x1f' + profile_config.key(),
-                      [&trace, &profile_config] {
-                          return buildSamplingPlan(*trace,
-                                                   profile_config);
-                      })
-                : std::make_shared<const SamplingPlan>(
-                      buildSamplingPlan(*trace, profile_config));
+                ? cache.getOrBuildPlan(samplingPlanKey(key, profile_config),
+                                       build)
+                : std::make_shared<const SamplingPlan>(build());
         RunExecution exec;
         exec.output = runSampled(trace, *plan, config);
         if (trace->hasSamplerCounts()) {
@@ -258,34 +254,10 @@ executeRun(const RunSpec &spec, EventTrace *events,
     exec.output.sampling.timeSamplerSkipped = sampler_skipped;
 
     if (l2_model != L2ModelKind::SIMULATED) {
-        // One exact conflict class for the configured L2 geometry;
-        // with it registered the distance histogram is never
-        // consulted, so skip its maintenance.
-        const bool covered =
-            config.l2.numSets() > 1 && config.l2.assoc <= 16;
-        ReuseProfiler profile(config.l2.blockSize,
-                              /*track_distances=*/!covered);
-        if (covered)
-            profile.trackGeometry(
-                static_cast<std::uint32_t>(config.l2.numSets()),
-                config.l2.assoc);
+        ReuseProfiler profile = makeL2Profiler(config.l2.blockSize,
+                                               {config.l2});
         profileMissTraceInto(profile, miss_trace);
-        AnalyticL2Model model(profile);
-        L2AnalyticReport &rep = exec.output.l2Analytic;
-        rep.model = toString(l2_model);
-        rep.predictedMissRatioPct =
-            model.predictMissRatioPercent(config.l2);
-        rep.predictedHitRatePct =
-            model.predictLocalHitRatePercent(config.l2);
-        rep.profiledMisses = profile.references();
-        rep.uniqueBlocks = profile.uniqueBlocks();
-        if (l2_model == L2ModelKind::BOTH && config.useL2 &&
-            profile.references() > 0) {
-            rep.simulatedMissRatioPct =
-                100.0 - exec.output.results.l2LocalHitRatePercent;
-            rep.absErrorPct = std::abs(rep.predictedMissRatioPct -
-                                       rep.simulatedMissRatioPct);
-        }
+        reportAnalyticL2(exec.output, profile, l2_model, config);
     }
     if (inspect)
         inspect(system);

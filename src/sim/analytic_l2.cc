@@ -188,4 +188,47 @@ AnalyticL2Model::predictLocalHitRatePercent(
     return 100.0 - predictMissRatioPercent(config);
 }
 
+bool
+conflictClassCovers(const CacheConfig &l2)
+{
+    return l2.numSets() > 1 && l2.assoc <= 16;
+}
+
+ReuseProfiler
+makeL2Profiler(unsigned block_size, const std::vector<CacheConfig> &l2s)
+{
+    bool all_covered = true;
+    for (const CacheConfig &l2 : l2s) {
+        if (l2.blockSize == block_size)
+            all_covered = all_covered && conflictClassCovers(l2);
+    }
+    ReuseProfiler profiler(block_size, /*track_distances=*/!all_covered);
+    for (const CacheConfig &l2 : l2s) {
+        if (l2.blockSize == block_size && conflictClassCovers(l2))
+            profiler.trackGeometry(static_cast<std::uint32_t>(l2.numSets()),
+                                   l2.assoc);
+    }
+    return profiler;
+}
+
+void
+reportAnalyticL2(RunOutput &out, const ReuseProfiler &profile,
+                 L2ModelKind kind, const MemorySystemConfig &config)
+{
+    AnalyticL2Model model(profile);
+    L2AnalyticReport &rep = out.l2Analytic;
+    rep.model = toString(kind);
+    rep.predictedMissRatioPct = model.predictMissRatioPercent(config.l2);
+    rep.predictedHitRatePct = model.predictLocalHitRatePercent(config.l2);
+    rep.profiledMisses = profile.references();
+    rep.uniqueBlocks = profile.uniqueBlocks();
+    if (kind == L2ModelKind::BOTH && config.useL2 &&
+        profile.references() > 0) {
+        rep.simulatedMissRatioPct =
+            100.0 - out.results.l2LocalHitRatePercent;
+        rep.absErrorPct = std::abs(rep.predictedMissRatioPct -
+                                   rep.simulatedMissRatioPct);
+    }
+}
+
 } // namespace sbsim

@@ -33,8 +33,10 @@
 
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "cache/cache.hh"
+#include "sim/experiment.hh"
 #include "trace/reuse_profile.hh"
 
 namespace sbsim {
@@ -86,6 +88,29 @@ class AnalyticL2Model
   private:
     const ReuseProfiler &profile_;
 };
+
+/**
+ * True when a tracked conflict class prices @p l2 exactly: more than
+ * one set, and few enough ways for the per-reference class scan.
+ */
+bool conflictClassCovers(const CacheConfig &l2);
+
+/**
+ * A profiler at @p block_size with an exact conflict class for every
+ * covered geometry among the @p l2s of that block size. When the
+ * classes cover all of them, the distance histogram is never
+ * consulted, so the profiler skips its maintenance.
+ */
+ReuseProfiler makeL2Profiler(unsigned block_size,
+                             const std::vector<CacheConfig> &l2s);
+
+/**
+ * Fill @p out.l2Analytic with @p kind's prediction of @p config's L2
+ * from the finished @p profile; BOTH also records the error against
+ * the simulated L2 result already in @p out.
+ */
+void reportAnalyticL2(RunOutput &out, const ReuseProfiler &profile,
+                      L2ModelKind kind, const MemorySystemConfig &config);
 
 } // namespace sbsim
 

@@ -80,30 +80,14 @@ AnalyticCacheStudy::AnalyticCacheStudy(
     // block size's whole candidate slice is class-covered, its
     // profiler skips the distance histogram entirely — the classes
     // answer every query, at half the per-miss cost.
-    for (const CacheConfig &c : configs_) {
+    for (const CacheConfig &c : configs_)
         c.validate();
+    for (const CacheConfig &c : configs_) {
         bool seen = false;
         for (const ReuseProfiler &p : profilers_)
             seen = seen || p.blockSize() == c.blockSize;
-        if (seen)
-            continue;
-        bool all_covered = true;
-        for (const CacheConfig &other : configs_) {
-            if (other.blockSize == c.blockSize)
-                all_covered = all_covered && other.numSets() > 1 &&
-                              other.assoc <= 16;
-        }
-        profilers_.emplace_back(c.blockSize,
-                                /*track_distances=*/!all_covered);
-    }
-    for (const CacheConfig &c : configs_) {
-        if (c.numSets() <= 1 || c.assoc > 16)
-            continue;
-        for (ReuseProfiler &p : profilers_) {
-            if (p.blockSize() == c.blockSize)
-                p.trackGeometry(
-                    static_cast<std::uint32_t>(c.numSets()), c.assoc);
-        }
+        if (!seen)
+            profilers_.push_back(makeL2Profiler(c.blockSize, configs_));
     }
 }
 

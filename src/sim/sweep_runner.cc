@@ -5,7 +5,6 @@
 #include <exception>
 #include <map>
 #include <thread>
-#include <cmath>
 #include <utility>
 
 #include "trace/materialized_trace.hh"
@@ -175,314 +174,217 @@ missTraceKey(const std::string &source_key,
     return source_key + '\x1f' + frontEndKey(config);
 }
 
+std::string
+samplingPlanKey(const std::string &source_key,
+                const PhaseProfileConfig &config)
+{
+    return source_key + '\x1f' + config.key();
+}
+
+namespace {
+
+/**
+ * An artifact a sweep reads: the job whose factory builds it, the
+ * jobs it is handed to, and (once its level is built) the artifact.
+ */
+template <typename T>
+struct Need
+{
+    std::size_t leader;
+    std::vector<std::size_t> members;
+    std::shared_ptr<const T> value;
+};
+
+/**
+ * Dedup key of a Need: the artifact's cache key, paired with 0. A
+ * keyless job opted out of sharing, so its needs pair an empty key
+ * with its own index instead.
+ */
+using NeedKey = std::pair<std::string, std::size_t>;
+
+/** The Need under @p key (created with leader @p i if new). */
+template <typename Map>
+auto &
+needFor(Map &needs, const typename Map::key_type &key, std::size_t i)
+{
+    return needs.try_emplace(key, typename Map::mapped_type{i, {}, {}})
+        .first->second;
+}
+
+/**
+ * Apply @p read to @p job's reference stream: the resident cached
+ * trace when @p use_cache and one is alive (adopting it counts a
+ * hit), else a fresh source from the job's factory.
+ */
+template <typename Read>
+auto
+readInput(const SweepJob &job, bool use_cache, const Read &read)
+{
+    if (use_cache && !job.sourceKey.empty()) {
+        if (auto trace =
+                TraceCache::instance().adoptRefTrace(job.sourceKey)) {
+            SharedTraceView view(std::move(trace));
+            return read(static_cast<TraceSource &>(view));
+        }
+    }
+    std::unique_ptr<TraceSource> src = job.makeSource();
+    return read(*src);
+}
+
+} // namespace
+
 std::vector<SweepResult>
 SweepRunner::run(const std::vector<SweepJob> &jobs) const
 {
     // Results live in pre-sized slots indexed by submission order, so
     // completion order never matters.
     std::vector<SweepResult> results(jobs.size());
+    TraceCache &cache = TraceCache::instance();
 
-    // --- Plan: decide per job how it will be serviced. Purely a
-    // throughput decision — every mode is pinned bit-identical to
-    // NAIVE by tests/test_sweep_runner.cc and tests/test_miss_trace.cc.
-    enum class Mode { NAIVE, SHARED_VIEW, REPLAY, SAMPLED };
+    // --- Plan: one walk derives the artifacts each job reads and
+    // dedupes them by key. They are then built in dependency order,
+    // one parallelFor per level: miss traces and sampled inputs, then
+    // sampling plans and reuse profiles. Required artifacts come from
+    // the TraceCache when it is on and the job has a key, else are
+    // built once per need, locally. Purely a throughput decision:
+    // every plan is pinned bit-identical to a naive run by
+    // tests/test_sweep_runner.cc and tests/test_miss_trace.cc.
     struct Plan
     {
-        Mode mode = Mode::NAIVE;
-        std::shared_ptr<const MaterializedTrace> trace;
+        /** Set: served by replay of this post-L1 stream. */
         std::shared_ptr<const MissTrace> miss;
+        /** Set: served by runSampled over trace. */
         std::shared_ptr<const SamplingPlan> sampling;
+        std::shared_ptr<const MaterializedTrace> trace;
+        /** Set: the analytic L2 report is priced from this profile. */
+        std::shared_ptr<const ReuseProfiler> profile;
     };
     std::vector<Plan> plans(jobs.size());
-
-    // Pre-recorded miss traces are an explicit caller request, honoured
-    // independently of the cache toggle (event-traced jobs excepted:
-    // replay cannot re-emit front-end events; sampled jobs excepted:
-    // they are serviced by their sampling plan below).
+    std::map<std::string, std::vector<std::size_t>> families;
+    std::map<NeedKey, Need<MissTrace>> misses;
+    std::map<NeedKey, Need<MaterializedTrace>> inputs;
+    std::map<std::pair<NeedKey, unsigned>, Need<ReuseProfiler>> profiles;
     for (std::size_t i = 0; i < jobs.size(); ++i) {
-        if (jobs[i].missTrace && !jobs[i].eventTrace &&
-            jobs[i].fidelity == Fidelity::EXACT)
-            plans[i] = {Mode::REPLAY, nullptr, jobs[i].missTrace, nullptr};
-    }
-
-    if (traceCache_) {
-        TraceCache &cache = TraceCache::instance();
-
-        // Group the remaining keyed jobs into replay families (one
-        // recording per (source, front end) pair) and view-only jobs
-        // (event capture needs the raw reference stream).
-        struct Family
-        {
-            std::vector<std::size_t> members;
-            bool record = false;
+        const SweepJob &job = jobs[i];
+        auto key_of = [&job, i](std::string key) {
+            return job.sourceKey.empty() ? NeedKey{std::string(), i}
+                                         : NeedKey{std::move(key), 0};
         };
-        std::map<std::string, Family> families;
-        std::vector<std::size_t> viewOnly;
-        for (std::size_t i = 0; i < jobs.size(); ++i) {
-            const SweepJob &job = jobs[i];
-            if (plans[i].mode == Mode::REPLAY || job.sourceKey.empty())
-                continue;
-            // Sampled jobs are planned separately: they need the whole
-            // materialised trace, not a view or a miss-stream replay.
-            if (job.fidelity == Fidelity::SAMPLED)
-                continue;
-            if (job.eventTrace) {
-                viewOnly.push_back(i);
-                continue;
-            }
-            families[missTraceKey(job.sourceKey, job.config)]
-                .members.push_back(i);
-        }
-
-        // A family records when replay amortises (>= 2 members) or the
-        // recording is already resident; singleton families instead
-        // fall through to sharing the raw reference trace.
-        for (auto &entry : families) {
-            Family &fam = entry.second;
-            fam.record = fam.members.size() >= 2 ||
-                         cache.lookupMissTrace(entry.first) != nullptr;
-        }
-
-        // Count prospective readers per source key; materialise when
-        // at least two would otherwise regenerate the same stream, or
-        // when the trace is already resident (reuse is then free).
-        std::map<std::string, std::size_t> readers;
-        for (std::size_t i : viewOnly)
-            ++readers[jobs[i].sourceKey];
-        for (const auto &entry : families) {
-            const Family &fam = entry.second;
-            const SweepJob &leader = jobs[fam.members.front()];
-            if (fam.record) {
-                if (!cache.lookupMissTrace(entry.first))
-                    ++readers[leader.sourceKey];
-            } else {
-                readers[leader.sourceKey] += fam.members.size();
-            }
-        }
-        std::vector<std::string> to_materialize;
-        for (const auto &entry : readers) {
-            if (entry.second >= 2 || cache.lookupRefTrace(entry.first))
-                to_materialize.push_back(entry.first);
-        }
-
-        // Representative factory per source key (factories that share
-        // a key are interchangeable by the SweepJob contract).
-        std::map<std::string, std::size_t> factory_job;
-        for (std::size_t i = 0; i < jobs.size(); ++i) {
-            if (!jobs[i].sourceKey.empty() && jobs[i].makeSource)
-                factory_job.emplace(jobs[i].sourceKey, i);
-        }
-
-        // Phase A: materialise shared reference traces in parallel.
-        std::vector<std::shared_ptr<const MaterializedTrace>> mats(
-            to_materialize.size());
-        parallelFor(to_materialize.size(), jobs_, [&](std::size_t k) {
-            const std::string &key = to_materialize[k];
-            const SweepJob &rep = jobs[factory_job.at(key)];
-            // Prefer the materialising producer: it attaches
-            // drain-time metadata (TimeSampler counts) the plain
-            // factory cannot.
-            mats[k] = rep.materialize
-                          ? cache.getOrMaterializeTrace(key,
-                                                        rep.materialize)
-                          : cache.getOrMaterialize(key, rep.makeSource);
-        });
-        std::map<std::string, std::shared_ptr<const MaterializedTrace>>
-            mat_traces;
-        for (std::size_t k = 0; k < to_materialize.size(); ++k)
-            mat_traces.emplace(to_materialize[k], mats[k]);
-
-        // Phase B: record one miss trace per recording family, reading
-        // from the shared reference trace when one exists.
-        std::vector<const Family *> rec_fams;
-        std::vector<const std::string *> rec_keys;
-        for (const auto &entry : families) {
-            if (entry.second.record) {
-                rec_keys.push_back(&entry.first);
-                rec_fams.push_back(&entry.second);
-            }
-        }
-        std::vector<std::shared_ptr<const MissTrace>> misses(
-            rec_fams.size());
-        parallelFor(rec_fams.size(), jobs_, [&](std::size_t k) {
-            const SweepJob &leader = jobs[rec_fams[k]->members.front()];
-            misses[k] = cache.getOrRecord(*rec_keys[k], [&]() {
-                auto it = mat_traces.find(leader.sourceKey);
-                if (it != mat_traces.end()) {
-                    SharedTraceView view(it->second);
-                    return recordMissTrace(view, leader.config);
-                }
-                std::unique_ptr<TraceSource> src = leader.makeSource();
-                return recordMissTrace(*src, leader.config);
-            });
-        });
-        for (std::size_t k = 0; k < rec_fams.size(); ++k) {
-            for (std::size_t i : rec_fams[k]->members)
-                plans[i] = {Mode::REPLAY, nullptr, misses[k], nullptr};
-        }
-
-        // Everything left rides the shared reference trace when its
-        // key was materialised; otherwise it stays NAIVE.
-        auto assign_view = [&](std::size_t i) {
-            auto it = mat_traces.find(jobs[i].sourceKey);
-            if (it != mat_traces.end())
-                plans[i] = {Mode::SHARED_VIEW, it->second, nullptr,
-                            nullptr};
-        };
-        for (std::size_t i : viewOnly)
-            assign_view(i);
-        for (const auto &entry : families) {
-            if (!entry.second.record) {
-                for (std::size_t i : entry.second.members)
-                    assign_view(i);
-            }
-        }
-    }
-
-    // --- Sampled-fidelity plan: one materialised trace and one
-    // sampling plan per (source key, profile config) group, shared by
-    // every sampled job over the same input — the sampled analogue of
-    // the miss-trace families above. With the cache enabled both live
-    // in the TraceCache (so the sweep service reuses them across
-    // requests); otherwise they are built once per group, locally.
-    {
-        struct SampleGroup
-        {
-            std::vector<std::size_t> members;
-        };
-        std::map<std::string, SampleGroup> sgroups;
-        for (std::size_t i = 0; i < jobs.size(); ++i) {
-            if (jobs[i].fidelity != Fidelity::SAMPLED)
-                continue;
-            SBSIM_ASSERT(!jobs[i].eventTrace,
+        if (job.fidelity == Fidelity::SAMPLED) {
+            SBSIM_ASSERT(!job.eventTrace,
                          "sampled jobs cannot capture event traces");
-            // Keyless jobs opted out of reuse; one group each (0x1f
-            // prefix cannot collide with real keys).
-            std::string key = jobs[i].sourceKey.empty()
-                                  ? '\x1f' + std::to_string(i)
-                                  : jobs[i].sourceKey;
-            sgroups[key].members.push_back(i);
+            needFor(inputs, key_of(job.sourceKey), i).members.push_back(i);
+            continue;
         }
-        std::vector<std::pair<const std::string *, SampleGroup *>>
-            sgroup_list;
-        sgroup_list.reserve(sgroups.size());
-        for (auto &entry : sgroups)
-            sgroup_list.emplace_back(&entry.first, &entry.second);
-        parallelFor(sgroup_list.size(), jobs_, [&](std::size_t k) {
-            const std::string &key = *sgroup_list[k].first;
-            SampleGroup &group = *sgroup_list[k].second;
-            const SweepJob &leader = jobs[group.members.front()];
-            const bool cached = traceCache_ && !leader.sourceKey.empty();
-            auto produce = [&leader] {
-                if (leader.materialize)
-                    return leader.materialize();
-                std::unique_ptr<TraceSource> src = leader.makeSource();
-                return MaterializedTrace::fromSource(*src);
+        const NeedKey miss_key =
+            key_of(missTraceKey(job.sourceKey, job.config));
+        // Replay cannot re-emit front-end events, so event-traced jobs
+        // always run in full. A pre-recorded miss trace is an explicit
+        // caller request, honoured independently of the cache toggle.
+        if (job.missTrace && !job.eventTrace)
+            plans[i].miss = job.missTrace;
+        else if (traceCache_ && !job.sourceKey.empty() && !job.eventTrace)
+            families[miss_key.first].push_back(i);
+        // The analytic model profiles the job's full miss stream, one
+        // profile per (miss stream, L2 block size).
+        if (job.l2Model != L2ModelKind::SIMULATED) {
+            needFor(profiles, {miss_key, job.config.l2.blockSize}, i)
+                .members.push_back(i);
+            Need<MissTrace> &miss = needFor(misses, miss_key, i);
+            if (!miss.value)
+                miss.value = plans[i].miss;
+        }
+    }
+    // Replay is optional, so cache-off stays the naive reference path:
+    // a family replays when one recording amortises over >= 2 members
+    // or is already resident.
+    for (auto &[key, members] : families) {
+        if (members.size() >= 2 || cache.lookupMissTrace(key))
+            needFor(misses, {key, 0}, members.front()).members = members;
+    }
+
+    std::vector<std::function<void()>> level;
+    auto build_level = [&] {
+        parallelFor(level.size(), jobs_,
+                    [&](std::size_t k) { level[k](); });
+        level.clear();
+    };
+    auto shared = [this](const SweepJob &leader) {
+        return traceCache_ && !leader.sourceKey.empty();
+    };
+
+    for (auto &[key, need] : misses) {
+        if (need.value)
+            continue;
+        level.push_back([&, &key = key, &need = need] {
+            const SweepJob &leader = jobs[need.leader];
+            auto record = [&] {
+                return readInput(leader, traceCache_,
+                                 [&leader](TraceSource &src) {
+                                     return recordMissTrace(src,
+                                                            leader.config);
+                                 });
             };
-            std::shared_ptr<const MaterializedTrace> trace =
-                cached ? TraceCache::instance().getOrMaterializeTrace(
-                             key, produce)
-                       : produce();
+            need.value = shared(leader)
+                             ? cache.getOrRecord(key.first, record)
+                             : std::make_shared<const MissTrace>(record());
+        });
+    }
+    for (auto &[key, need] : inputs) {
+        level.push_back([&, &need = need] {
+            const SweepJob &leader = jobs[need.leader];
+            // Prefer the materialising producer: it attaches drain-time
+            // metadata (TimeSampler counts) the plain factory cannot.
+            auto produce = [&leader] {
+                return leader.materialize
+                           ? leader.materialize()
+                           : MaterializedTrace::fromSource(
+                                 *leader.makeSource());
+            };
+            need.value = shared(leader)
+                             ? cache.getOrMaterializeTrace(
+                                   leader.sourceKey, produce)
+                             : produce();
+        });
+    }
+    build_level();
+
+    for (auto &[key, need] : inputs) {
+        level.push_back([&, &need = need] {
+            const SweepJob &leader = jobs[need.leader];
             const PhaseProfileConfig profile_config;
-            auto build = [&trace, &profile_config] {
-                return buildSamplingPlan(*trace, profile_config);
+            auto build = [&] {
+                return buildSamplingPlan(*need.value, profile_config);
             };
             std::shared_ptr<const SamplingPlan> plan =
-                cached ? TraceCache::instance().getOrBuildPlan(
-                             key + '\x1f' + profile_config.key(), build)
-                       : std::make_shared<const SamplingPlan>(build());
-            for (std::size_t i : group.members)
-                plans[i] = {Mode::SAMPLED, trace, nullptr, plan};
+                shared(leader)
+                    ? cache.getOrBuildPlan(
+                          samplingPlanKey(leader.sourceKey, profile_config),
+                          build)
+                    : std::make_shared<const SamplingPlan>(build());
+            for (std::size_t i : need.members)
+                plans[i] = {nullptr, plan, need.value, nullptr};
         });
     }
-
-    // --- Analytic L2 profiling plan: one reuse-distance profile per
-    // (miss stream, L2 block size) group, shared by every member job
-    // requesting --l2-model=analytic|both. A group's stream comes, in
-    // preference order, from a member's already-planned replay trace,
-    // the trace cache, or an ad-hoc recording. Evaluation afterwards
-    // is closed-form per job — the "fan the evaluation out for free"
-    // half of the one-pass engine.
-    std::vector<std::shared_ptr<const ReuseProfiler>> profiles(
-        jobs.size());
-    {
-        struct ProfileGroup
-        {
-            std::vector<std::size_t> members;
-            std::shared_ptr<const MissTrace> miss;
-        };
-        std::map<std::string, ProfileGroup> groups;
-        for (std::size_t i = 0; i < jobs.size(); ++i) {
-            // Sampled jobs never profile: the analytic model needs the
-            // full miss stream (both front ends reject the combo).
-            if (jobs[i].l2Model == L2ModelKind::SIMULATED ||
-                jobs[i].fidelity == Fidelity::SAMPLED)
-                continue;
-            // Keyless jobs opted out of trace reuse; give each its
-            // own group (0x1f prefix cannot collide with real keys).
-            std::string key =
-                jobs[i].sourceKey.empty()
-                    ? '\x1f' + std::to_string(i)
-                    : missTraceKey(jobs[i].sourceKey, jobs[i].config) +
-                          '\x1f' +
-                          std::to_string(jobs[i].config.l2.blockSize);
-            ProfileGroup &group = groups[key];
-            group.members.push_back(i);
-            if (!group.miss && plans[i].miss)
-                group.miss = plans[i].miss;
-        }
-        std::vector<ProfileGroup *> group_list;
-        group_list.reserve(groups.size());
-        for (auto &entry : groups)
-            group_list.push_back(&entry.second);
-        std::vector<std::shared_ptr<const ReuseProfiler>> built(
-            group_list.size());
-        parallelFor(group_list.size(), jobs_, [&](std::size_t k) {
-            ProfileGroup &group = *group_list[k];
-            const SweepJob &leader = jobs[group.members.front()];
-            std::shared_ptr<const MissTrace> miss = group.miss;
-            if (!miss && traceCache_ && !leader.sourceKey.empty()) {
-                miss = TraceCache::instance().getOrRecord(
-                    missTraceKey(leader.sourceKey, leader.config),
-                    [&]() {
-                        auto src = leader.makeSource();
-                        return recordMissTrace(*src, leader.config);
-                    });
-            }
-            if (!miss) {
-                auto src = leader.makeSource();
-                miss = std::make_shared<const MissTrace>(
-                    recordMissTrace(*src, leader.config));
-            }
-            // Register every member's L2 geometry as an exact
-            // conflict class before the single profiling pass (the
-            // group key fixes the block size, not size/assoc); when
-            // the classes cover all members, the profiler skips the
-            // distance histogram — the classes answer every query.
-            bool all_covered = true;
-            for (std::size_t i : group.members) {
-                const CacheConfig &l2 = jobs[i].config.l2;
-                all_covered = all_covered && l2.numSets() > 1 &&
-                              l2.assoc <= 16;
-            }
-            auto profiler = std::make_shared<ReuseProfiler>(
-                leader.config.l2.blockSize,
-                /*track_distances=*/!all_covered);
-            for (std::size_t i : group.members) {
-                const CacheConfig &l2 = jobs[i].config.l2;
-                if (l2.numSets() > 1 && l2.assoc <= 16)
-                    profiler->trackGeometry(
-                        static_cast<std::uint32_t>(l2.numSets()),
-                        l2.assoc);
-            }
-            profileMissTraceInto(*profiler, *miss);
-            built[k] = std::move(profiler);
+    for (auto &[key, need] : profiles) {
+        level.push_back([&, &key = key, &need = need] {
+            // One pass prices every member's L2: the need fixes the
+            // block size, and each member's geometry becomes a class.
+            std::vector<CacheConfig> l2s;
+            for (std::size_t i : need.members)
+                l2s.push_back(jobs[i].config.l2);
+            auto profile = std::make_shared<ReuseProfiler>(
+                makeL2Profiler(key.second, l2s));
+            profileMissTraceInto(*profile, *misses.at(key.first).value);
+            for (std::size_t i : need.members)
+                plans[i].profile = profile;
         });
-        for (std::size_t k = 0; k < group_list.size(); ++k) {
-            for (std::size_t i : group_list[k]->members)
-                profiles[i] = built[k];
-        }
     }
+    for (auto &[key, need] : misses) {
+        for (std::size_t i : need.members)
+            plans[i].miss = need.value;
+    }
+    build_level();
 
     // Heartbeat bookkeeping: integral atomics only (the derived rate
     // is computed at print time), stderr only, so the simulation
@@ -500,39 +402,22 @@ SweepRunner::run(const std::vector<SweepJob> &jobs) const
         res.label = job.label;
         {
             ScopedTimer timer(res.wallSeconds);
-            if (plan.mode == Mode::SAMPLED) {
+            if (plan.sampling) {
                 res.output =
                     runSampled(plan.trace, *plan.sampling, job.config);
-            } else if (plan.mode == Mode::REPLAY) {
-                TraceCache::instance().noteReplay();
+            } else if (plan.miss) {
+                cache.noteReplay();
                 res.output = replayOnce(*plan.miss, job.config);
-            } else if (plan.mode == Mode::SHARED_VIEW) {
-                SharedTraceView view(plan.trace);
-                res.output = runOnce(view, job.config, job.eventTrace);
             } else {
-                std::unique_ptr<TraceSource> src = job.makeSource();
-                res.output = runOnce(*src, job.config, job.eventTrace);
+                res.output = readInput(
+                    job, traceCache_, [&job](TraceSource &src) {
+                        return runOnce(src, job.config, job.eventTrace);
+                    });
             }
         }
-        if (job.l2Model != L2ModelKind::SIMULATED && profiles[i]) {
-            const ReuseProfiler &prof = *profiles[i];
-            AnalyticL2Model model(prof);
-            L2AnalyticReport &rep = res.output.l2Analytic;
-            rep.model = toString(job.l2Model);
-            rep.predictedMissRatioPct =
-                model.predictMissRatioPercent(job.config.l2);
-            rep.predictedHitRatePct =
-                model.predictLocalHitRatePercent(job.config.l2);
-            rep.profiledMisses = prof.references();
-            rep.uniqueBlocks = prof.uniqueBlocks();
-            if (job.l2Model == L2ModelKind::BOTH && job.config.useL2 &&
-                prof.references() > 0) {
-                rep.simulatedMissRatioPct =
-                    100.0 - res.output.results.l2LocalHitRatePercent;
-                rep.absErrorPct = std::abs(rep.predictedMissRatioPct -
-                                           rep.simulatedMissRatioPct);
-            }
-        }
+        if (plan.profile)
+            reportAnalyticL2(res.output, *plan.profile, job.l2Model,
+                             job.config);
         res.references = res.output.results.references;
         res.refsPerSecond = res.wallSeconds > 0
                                 ? static_cast<double>(res.references) /
@@ -553,7 +438,7 @@ SweepRunner::run(const std::vector<SweepJob> &jobs) const
     // heartbeat_, which silently dropped it from every cache-enabled
     // run that did not also ask for progress output.
     if (cacheReport_ && traceCache_)
-        printTraceCacheReport(TraceCache::instance().stats(), stderr);
+        printTraceCacheReport(cache.stats(), stderr);
     return results;
 }
 
@@ -605,23 +490,8 @@ writeSweepJson(const std::vector<SweepResult> &results, std::ostream &os,
        << ",\"wall_seconds\":" << jsonNumber(total_wall)
        << ",\"refs_per_second\":" << jsonNumber(rate);
     if (cache_stats) {
-        os << ",\"trace_cache\":{\"ref_trace_hits\":"
-           << cache_stats->refTraceHits
-           << ",\"ref_traces_materialized\":"
-           << cache_stats->refTracesMaterialized
-           << ",\"miss_trace_hits\":" << cache_stats->missTraceHits
-           << ",\"miss_traces_recorded\":"
-           << cache_stats->missTracesRecorded
-           << ",\"phase_plan_hits\":" << cache_stats->phasePlanHits
-           << ",\"phase_plans_built\":" << cache_stats->phasePlansBuilt
-           << ",\"replays\":" << cache_stats->replays
-           << ",\"resident_bytes\":" << cache_stats->residentBytes
-           << ",\"expired_purged\":" << cache_stats->expiredPurged
-           << ",\"ref_trace_entries\":" << cache_stats->refTraceEntries
-           << ",\"miss_trace_entries\":"
-           << cache_stats->missTraceEntries
-           << ",\"phase_plan_entries\":"
-           << cache_stats->phasePlanEntries << '}';
+        os << ",\"trace_cache\":";
+        writeTraceCacheJson(*cache_stats, os);
     }
     os << "}}\n";
 }

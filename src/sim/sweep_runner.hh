@@ -33,10 +33,12 @@
  *                     flag, so cache-enabled runs without
  *                     SBSIM_PROGRESS silently dropped it.)
  *   SBSIM_TRACE_CACHE=B  trace reuse across jobs (default on): jobs
- *                     sharing a source key replay one materialised
- *                     trace, and jobs also sharing an L1 front end
- *                     replay one recorded miss stream. Bit-identical
- *                     either way; see trace/trace_cache.hh.
+ *                     sharing a source key and an L1 front end replay
+ *                     one recorded miss stream, sampled jobs share one
+ *                     input and sampling plan, and a reference trace
+ *                     already resident in the cache is read instead
+ *                     of regenerating the stream. Bit-identical either
+ *                     way; see trace/trace_cache.hh.
  */
 
 #ifndef STREAMSIM_SIM_SWEEP_RUNNER_HH
@@ -85,9 +87,11 @@ struct SweepJob
      * produce identical reference sequences must carry equal keys
      * (benchmarkJob derives one from benchmark/scale/limit/sampling).
      * Empty opts the job out of all trace reuse. The key feeds the
-     * runner's planner: equal source keys share one MaterializedTrace,
-     * and equal (source key, front-end key) pairs share one MissTrace
-     * and run as secondary-level replays.
+     * runner's planner: equal (source key, front-end key) pairs share
+     * one MissTrace and run as secondary-level replays, sampled jobs
+     * with equal keys share one input and sampling plan, and any job
+     * whose key names a trace already resident in the TraceCache
+     * reads that trace instead of calling makeSource.
      */
     std::string sourceKey;
 
@@ -125,9 +129,9 @@ struct SweepJob
     /**
      * Optional materialising producer for the job's input, used in
      * preference to wrapping makeSource when the runner needs the
-     * whole trace in memory (sampled jobs; shared-trace
-     * materialisation). Lets the producer attach drain-time metadata
-     * (TimeSampler counts) the plain factory cannot.
+     * whole trace in memory (sampled jobs). Lets the producer attach
+     * drain-time metadata (TimeSampler counts) the plain factory
+     * cannot.
      */
     std::function<std::shared_ptr<const MaterializedTrace>()>
         materialize;
@@ -202,10 +206,10 @@ class SweepRunner
     bool cacheReport() const { return cacheReport_; }
 
     /**
-     * Enable/disable trace reuse (Level 1 materialisation + Level 2
-     * miss-stream replay) for this runner. Defaults to
-     * SBSIM_TRACE_CACHE (on when unset). Purely a performance knob:
-     * results are bit-identical either way, which
+     * Enable/disable trace reuse (miss-stream replay, cached sampled
+     * inputs and plans, resident reference traces) for this runner.
+     * Defaults to SBSIM_TRACE_CACHE (on when unset). Purely a
+     * performance knob: results are bit-identical either way, which
      * tests/test_sweep_runner.cc pins differentially.
      */
     void setTraceCacheEnabled(bool on) { traceCache_ = on; }
@@ -247,6 +251,15 @@ class SweepRunner
  */
 std::string missTraceKey(const std::string &source_key,
                          const MemorySystemConfig &config);
+
+/**
+ * Cache key of the sampling plan of @p source_key's input under
+ * @p config: the source key, 0x1f, then PhaseProfileConfig::key().
+ * The runner's planner and service::executeRun both use it, so a
+ * sampled sweep and a sampled single run share one plan.
+ */
+std::string samplingPlanKey(const std::string &source_key,
+                            const PhaseProfileConfig &config);
 
 /**
  * Serialise sweep results as one JSON document: a "jobs" array of

@@ -5,30 +5,6 @@
 
 namespace sbsim {
 
-namespace {
-
-/**
- * Erase every expired entry of @p map and return how many went. The
- * two key maps only differ in mapped type, hence the template.
- */
-template <typename Map>
-std::size_t
-eraseExpired(Map &map)
-{
-    std::size_t purged = 0;
-    for (auto it = map.begin(); it != map.end();) {
-        if (it->second.expired()) {
-            it = map.erase(it);
-            ++purged;
-        } else {
-            ++it;
-        }
-    }
-    return purged;
-}
-
-} // namespace
-
 TraceCache &
 TraceCache::instance()
 {
@@ -45,69 +21,85 @@ TraceCache::enabledByEnv()
     return envBool("SBSIM_TRACE_CACHE").value_or(true);
 }
 
-std::shared_ptr<const MaterializedTrace>
-TraceCache::refHitLocked(const std::string &key)
+template <typename T>
+std::shared_ptr<const T>
+TraceCache::liveLocked(const std::string &key) const
 {
-    auto it = refTraces_.find(key);
-    if (it == refTraces_.end())
-        return nullptr;
-    if (auto trace = it->second.lock()) {
-        ++counters_.refTraceHits;
-        return trace;
-    }
-    return nullptr;
+    const auto &entries = std::get<TraceCacheSlot<T>>(slots_).entries;
+    auto it = entries.find(key);
+    return it == entries.end() ? nullptr : it->second.lock();
 }
 
-std::shared_ptr<const MissTrace>
-TraceCache::missHitLocked(const std::string &key)
+template <typename T>
+std::shared_ptr<const T>
+TraceCache::adoptLocked(const std::string &key)
 {
-    auto it = missTraces_.find(key);
-    if (it == missTraces_.end())
-        return nullptr;
-    if (auto trace = it->second.lock()) {
-        ++counters_.missTraceHits;
-        return trace;
-    }
-    return nullptr;
+    std::shared_ptr<const T> live = liveLocked<T>(key);
+    if (live)
+        ++slot<T>().hits;
+    return live;
 }
 
-std::shared_ptr<const SamplingPlan>
-TraceCache::planHitLocked(const std::string &key)
+template <typename T>
+std::shared_ptr<const T>
+TraceCache::getOrBuild(
+    const std::string &key,
+    const std::function<std::shared_ptr<const T>()> &build)
 {
-    auto it = plans_.find(key);
-    if (it == plans_.end())
-        return nullptr;
-    if (auto plan = it->second.lock()) {
-        ++counters_.phasePlanHits;
-        return plan;
+    {
+        MutexLock lock(mutex_);
+        if (auto hit = adoptLocked<T>(key))
+            return hit;
     }
-    return nullptr;
+    // Produce outside the lock: production is the expensive part and
+    // holding the mutex across it would serialise the sweep pool.
+    std::shared_ptr<const T> produced = build();
+
+    MutexLock lock(mutex_);
+    // Lost a race: adopt the first writer's copy (identical content —
+    // production is deterministic per key).
+    if (auto winner = adoptLocked<T>(key))
+        return winner;
+    // Inserts are the only operation that grows the maps, so they are
+    // the natural amortisation point for the expired-entry sweep.
+    purgeExpiredLocked();
+    TraceCacheSlot<T> &s = slot<T>();
+    s.entries[key] = produced;
+    ++s.built;
+    return produced;
 }
 
 std::size_t
 TraceCache::purgeExpiredLocked()
 {
-    std::size_t purged = eraseExpired(refTraces_);
-    purged += eraseExpired(missTraces_);
-    purged += eraseExpired(plans_);
-    counters_.expiredPurged += purged;
-    // The bound the purge exists to maintain: a sweep leaves only
-    // live entries behind, so map size can never exceed the live
-    // working set plus whatever expired since the last sweep — and a
-    // sweep runs on every insert and stats() snapshot.
-    SBSIM_AUDIT_BLOCK(
-        for (const auto &entry : refTraces_)
-            SBSIM_AUDIT(!entry.second.expired(),
-                        "expired ref-trace entry survived the purge: ",
-                        entry.first);
-        for (const auto &entry : missTraces_)
-            SBSIM_AUDIT(!entry.second.expired(),
-                        "expired miss-trace entry survived the purge: ",
-                        entry.first);
-        for (const auto &entry : plans_)
-            SBSIM_AUDIT(!entry.second.expired(),
-                        "expired sampling-plan entry survived the purge: ",
-                        entry.first););
+    std::size_t purged = 0;
+    std::apply(
+        [&purged](auto &...slots) {
+            auto sweep = [&purged](auto &entries) {
+                for (auto it = entries.begin(); it != entries.end();) {
+                    if (it->second.expired()) {
+                        it = entries.erase(it);
+                        ++purged;
+                    } else {
+                        ++it;
+                    }
+                }
+                // The bound the purge exists to maintain: a sweep
+                // leaves only live entries behind, so map size can
+                // never exceed the live working set plus whatever
+                // expired since the last sweep — and a sweep runs on
+                // every insert and stats() snapshot.
+                SBSIM_AUDIT_BLOCK(
+                    for (const auto &entry : entries)
+                        SBSIM_AUDIT(!entry.second.expired(),
+                                    "expired cache entry survived the "
+                                    "purge: ",
+                                    entry.first););
+            };
+            (sweep(slots.entries), ...);
+        },
+        slots_);
+    expiredPurged_ += purged;
     return purged;
 }
 
@@ -123,29 +115,8 @@ TraceCache::getOrMaterialize(
     const std::string &key,
     const std::function<std::unique_ptr<TraceSource>()> &make)
 {
-    {
-        MutexLock lock(mutex_);
-        if (auto trace = refHitLocked(key))
-            return trace;
-    }
-    // Produce outside the lock: materialisation is the expensive part
-    // and holding the mutex across it would serialise the sweep pool.
-    std::unique_ptr<TraceSource> src = make();
-    std::shared_ptr<const MaterializedTrace> produced =
-        MaterializedTrace::fromSource(*src);
-
-    MutexLock lock(mutex_);
-    if (auto winner = refHitLocked(key)) {
-        // Lost the race; adopt the first writer's copy (identical
-        // content — production is deterministic per key).
-        return winner;
-    }
-    // Inserts are the only operation that grows the maps, so they are
-    // the natural amortisation point for the expired-entry sweep.
-    purgeExpiredLocked();
-    refTraces_[key] = produced;
-    ++counters_.refTracesMaterialized;
-    return produced;
+    return getOrMaterializeTrace(
+        key, [&make] { return MaterializedTrace::fromSource(*make()); });
 }
 
 std::shared_ptr<const MaterializedTrace>
@@ -154,84 +125,53 @@ TraceCache::getOrMaterializeTrace(
     const std::function<std::shared_ptr<const MaterializedTrace>()>
         &produce)
 {
-    {
-        MutexLock lock(mutex_);
-        if (auto trace = refHitLocked(key))
-            return trace;
-    }
-    std::shared_ptr<const MaterializedTrace> produced = produce();
+    return getOrBuild<MaterializedTrace>(key, produce);
+}
 
+std::shared_ptr<const MaterializedTrace>
+TraceCache::adoptRefTrace(const std::string &key)
+{
     MutexLock lock(mutex_);
-    if (auto winner = refHitLocked(key))
-        return winner;
-    purgeExpiredLocked();
-    refTraces_[key] = produced;
-    ++counters_.refTracesMaterialized;
-    return produced;
+    return adoptLocked<MaterializedTrace>(key);
 }
 
 std::shared_ptr<const MaterializedTrace>
 TraceCache::lookupRefTrace(const std::string &key) const
 {
     MutexLock lock(mutex_);
-    auto it = refTraces_.find(key);
-    return it == refTraces_.end() ? nullptr : it->second.lock();
+    return liveLocked<MaterializedTrace>(key);
 }
 
 std::shared_ptr<const MissTrace>
 TraceCache::lookupMissTrace(const std::string &key) const
 {
     MutexLock lock(mutex_);
-    auto it = missTraces_.find(key);
-    return it == missTraces_.end() ? nullptr : it->second.lock();
+    return liveLocked<MissTrace>(key);
 }
 
 std::shared_ptr<const MissTrace>
 TraceCache::getOrRecord(const std::string &key,
                         const std::function<MissTrace()> &record)
 {
-    {
-        MutexLock lock(mutex_);
-        if (auto trace = missHitLocked(key))
-            return trace;
-    }
-    auto produced =
-        std::make_shared<const MissTrace>(record());
-
-    MutexLock lock(mutex_);
-    if (auto winner = missHitLocked(key))
-        return winner;
-    purgeExpiredLocked();
-    missTraces_[key] = produced;
-    ++counters_.missTracesRecorded;
-    return produced;
+    return getOrBuild<MissTrace>(key, [&record] {
+        return std::make_shared<const MissTrace>(record());
+    });
 }
 
 std::shared_ptr<const SamplingPlan>
 TraceCache::getOrBuildPlan(const std::string &key,
                            const std::function<SamplingPlan()> &build)
 {
-    {
-        MutexLock lock(mutex_);
-        if (auto plan = planHitLocked(key))
-            return plan;
-    }
-    auto produced = std::make_shared<const SamplingPlan>(build());
-
-    MutexLock lock(mutex_);
-    if (auto winner = planHitLocked(key))
-        return winner;
-    purgeExpiredLocked();
-    plans_[key] = produced;
-    ++counters_.phasePlansBuilt;
-    return produced;
+    return getOrBuild<SamplingPlan>(key, [&build] {
+        return std::make_shared<const SamplingPlan>(build());
+    });
 }
 
 void
 TraceCache::noteReplay()
 {
     MutexLock lock(mutex_);
-    ++counters_.replays;
+    ++replays_;
 }
 
 TraceCacheStats
@@ -239,23 +179,34 @@ TraceCache::stats()
 {
     MutexLock lock(mutex_);
     purgeExpiredLocked();
-    TraceCacheStats s = counters_;
-    s.residentBytes = 0;
-    for (const auto &entry : refTraces_) {
-        if (auto trace = entry.second.lock())
-            s.residentBytes += trace->bytes();
-    }
-    for (const auto &entry : missTraces_) {
-        if (auto trace = entry.second.lock())
-            s.residentBytes += trace->bytes();
-    }
-    for (const auto &entry : plans_) {
-        if (auto plan = entry.second.lock())
-            s.residentBytes += plan->bytes();
-    }
-    s.refTraceEntries = refTraces_.size();
-    s.missTraceEntries = missTraces_.size();
-    s.phasePlanEntries = plans_.size();
+    TraceCacheStats s;
+    std::apply(
+        [&s](const auto &...slots) {
+            auto resident = [](const auto &entries) {
+                std::uint64_t bytes = 0;
+                for (const auto &entry : entries) {
+                    if (auto live = entry.second.lock())
+                        bytes += live->bytes();
+                }
+                return bytes;
+            };
+            s.residentBytes = (resident(slots.entries) + ...);
+        },
+        slots_);
+    const auto &refs = slot<MaterializedTrace>();
+    const auto &misses = slot<MissTrace>();
+    const auto &plans = slot<SamplingPlan>();
+    s.refTraceHits = refs.hits;
+    s.refTracesMaterialized = refs.built;
+    s.refTraceEntries = refs.entries.size();
+    s.missTraceHits = misses.hits;
+    s.missTracesRecorded = misses.built;
+    s.missTraceEntries = misses.entries.size();
+    s.phasePlanHits = plans.hits;
+    s.phasePlansBuilt = plans.built;
+    s.phasePlanEntries = plans.entries.size();
+    s.replays = replays_;
+    s.expiredPurged = expiredPurged_;
     return s;
 }
 
@@ -263,10 +214,9 @@ void
 TraceCache::clear()
 {
     MutexLock lock(mutex_);
-    refTraces_.clear();
-    missTraces_.clear();
-    plans_.clear();
-    counters_ = TraceCacheStats{};
+    slots_ = {};
+    replays_ = 0;
+    expiredPurged_ = 0;
 }
 
 void
@@ -290,6 +240,23 @@ printTraceCacheReport(const TraceCacheStats &stats, std::FILE *out)
         static_cast<unsigned long long>(stats.refTraceEntries),
         static_cast<unsigned long long>(stats.missTraceEntries),
         static_cast<unsigned long long>(stats.phasePlanEntries));
+}
+
+void
+writeTraceCacheJson(const TraceCacheStats &stats, std::ostream &os)
+{
+    os << "{\"ref_trace_hits\":" << stats.refTraceHits
+       << ",\"ref_traces_materialized\":" << stats.refTracesMaterialized
+       << ",\"miss_trace_hits\":" << stats.missTraceHits
+       << ",\"miss_traces_recorded\":" << stats.missTracesRecorded
+       << ",\"phase_plan_hits\":" << stats.phasePlanHits
+       << ",\"phase_plans_built\":" << stats.phasePlansBuilt
+       << ",\"replays\":" << stats.replays
+       << ",\"resident_bytes\":" << stats.residentBytes
+       << ",\"expired_purged\":" << stats.expiredPurged
+       << ",\"ref_trace_entries\":" << stats.refTraceEntries
+       << ",\"miss_trace_entries\":" << stats.missTraceEntries
+       << ",\"phase_plan_entries\":" << stats.phasePlanEntries << '}';
 }
 
 } // namespace sbsim

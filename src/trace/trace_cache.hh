@@ -1,10 +1,10 @@
 /**
  * @file
- * Process-wide registry of shareable traces, keyed by caller-supplied
- * strings. Two kinds of entry:
+ * Process-wide registry of shareable sweep artifacts, keyed by
+ * caller-supplied strings. Three kinds of entry:
  *
  *  - reference traces (MaterializedTrace): the raw MemAccess stream of
- *    one source key, shared by SharedTraceView consumers;
+ *    one source key, read through SharedTraceView;
  *  - miss traces (MissTrace): the post-L1 event stream of one
  *    (source key, L1 front-end) pair, replayed by
  *    MemorySystem::replayMissTrace;
@@ -12,16 +12,17 @@
  *    representative intervals of one (source key, phase config) pair,
  *    executed by runSampled for --fidelity=sampled jobs.
  *
- * Entries are held as weak_ptr: the cache never pins memory on its
- * own — a trace stays resident exactly as long as some consumer holds
- * a strong reference, and a sweep's working set is released when its
- * jobs finish. Population is thread-safe first-writer-wins: when two
+ * Every kind is one slot (weak map + hit and build counters) behind
+ * one first-writer-wins getOrBuild. Entries are held as weak_ptr: the
+ * cache never pins memory on its own — an artifact stays resident
+ * exactly as long as some consumer holds a strong reference, and a
+ * sweep's working set is released when its jobs finish. When two
  * workers race to produce the same key, both produce, the first
  * insert wins, and the loser adopts the winner's copy (results are
  * identical either way because production is deterministic per key).
  *
  * Expired entries are *erased*, not just left dead: every insert and
- * every stats() snapshot sweeps both key maps and drops entries whose
+ * every stats() snapshot sweeps every slot and drops entries whose
  * weak_ptr no longer locks (counted in TraceCacheStats::expiredPurged).
  * Without that sweep the key maps of a long-running process — the
  * sweep service holds one instance across every request it ever
@@ -46,7 +47,9 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <ostream>
 #include <string>
+#include <tuple>
 
 #include "trace/materialized_trace.hh"
 #include "trace/miss_trace.hh"
@@ -91,16 +94,34 @@ void printTraceCacheReport(const TraceCacheStats &stats,
                            std::FILE *out);
 
 /**
+ * Write @p stats as the "trace_cache" JSON object shared by the sweep
+ * JSON aggregate and the daemon's stats response (field order fixed;
+ * see tools/metrics.schema.json).
+ */
+void writeTraceCacheJson(const TraceCacheStats &stats, std::ostream &os);
+
+/** One TraceCache artifact kind: its key map and its counters.
+ *  Namespace-scope, not nested: the enclosing class could not
+ *  default-construct a nested type that uses member initializers. */
+template <typename T>
+struct TraceCacheSlot
+{
+    std::map<std::string, std::weak_ptr<const T>> entries;
+    std::uint64_t hits = 0;
+    std::uint64_t built = 0;
+};
+
+/**
  * The process-wide trace registry (see file comment).
  *
  * Lock contract (compiler-checked under STREAMSIM_THREAD_SAFETY):
  * every public method is a self-contained critical section and must
  * be called *without* mutex_ held — none of them may be invoked from
  * a callback running under another TraceCache method, or the process
- * deadlocks. In particular the producer callbacks passed to
- * getOrMaterialize/getOrRecord always run outside the lock (that is
- * what makes first-writer-wins racing safe), so they may themselves
- * consult the cache.
+ * deadlocks. In particular the producer callbacks passed to the
+ * getOr* methods always run outside the lock (that is what makes
+ * first-writer-wins racing safe), so they may themselves consult the
+ * cache.
  */
 class TraceCache
 {
@@ -131,6 +152,11 @@ class TraceCache
         const std::function<std::shared_ptr<const MaterializedTrace>()>
             &produce) SBSIM_EXCLUDES(mutex_);
 
+    /** The trace cached under @p key if still alive, counted as a hit;
+     *  null (and no hit) otherwise. Never produces. */
+    std::shared_ptr<const MaterializedTrace>
+    adoptRefTrace(const std::string &key) SBSIM_EXCLUDES(mutex_);
+
     /** Peek: the cached trace for @p key if still alive, else null.
      *  Does not count as a hit. */
     std::shared_ptr<const MaterializedTrace>
@@ -151,11 +177,10 @@ class TraceCache
         SBSIM_EXCLUDES(mutex_);
 
     /**
-     * Return the sampling plan cached under @p key (conventionally
-     * source key + '\x1f' + PhaseProfileConfig::key()), or produce it
-     * via @p build (deterministic for the key; typically
-     * buildSamplingPlan over the key's materialized trace).
-     * First-writer-wins on races.
+     * Return the sampling plan cached under @p key (samplingPlanKey in
+     * sim/sweep_runner.hh), or produce it via @p build (deterministic
+     * for the key; typically buildSamplingPlan over the key's
+     * materialized trace). First-writer-wins on races.
      */
     std::shared_ptr<const SamplingPlan> getOrBuildPlan(
         const std::string &key,
@@ -166,7 +191,7 @@ class TraceCache
     void noteReplay() SBSIM_EXCLUDES(mutex_);
 
     /**
-     * Erase every expired entry from both key maps. Runs
+     * Erase every expired entry from every slot. Runs
      * opportunistically on every insert and stats() call, so callers
      * never need to invoke it for correctness; it is public for tests
      * and for long-running hosts that want a deterministic sweep
@@ -188,28 +213,42 @@ class TraceCache
   private:
     TraceCache() = default;
 
-    /** Live entry for @p key, counting a hit; caller holds the lock.
-     *  Pure lookup: never inserts a slot for an absent key (the old
-     *  operator[] probe left one empty weak_ptr per miss behind). */
-    std::shared_ptr<const MaterializedTrace>
-    refHitLocked(const std::string &key) SBSIM_REQUIRES(mutex_);
-    std::shared_ptr<const MissTrace>
-    missHitLocked(const std::string &key) SBSIM_REQUIRES(mutex_);
-    std::shared_ptr<const SamplingPlan>
-    planHitLocked(const std::string &key) SBSIM_REQUIRES(mutex_);
+    template <typename T>
+    TraceCacheSlot<T> &
+    slot() SBSIM_REQUIRES(mutex_)
+    {
+        return std::get<TraceCacheSlot<T>>(slots_);
+    }
+
+    /** Live entry of kind @p T for @p key, else null; caller holds the
+     *  lock. Pure lookup: never inserts a slot for an absent key. */
+    template <typename T>
+    std::shared_ptr<const T> liveLocked(const std::string &key) const
+        SBSIM_REQUIRES(mutex_);
+
+    /** liveLocked, counting a hit when the entry is alive. */
+    template <typename T>
+    std::shared_ptr<const T> adoptLocked(const std::string &key)
+        SBSIM_REQUIRES(mutex_);
+
+    /** The live entry under @p key (a hit), or @p build's product,
+     *  inserted first-writer-wins. @p build runs outside the lock. */
+    template <typename T>
+    std::shared_ptr<const T> getOrBuild(
+        const std::string &key,
+        const std::function<std::shared_ptr<const T>()> &build)
+        SBSIM_EXCLUDES(mutex_);
 
     /** The sweep behind purgeExpired(); caller holds the lock. Under
      *  STREAMSIM_CHECKED, audits that no expired entry survives. */
     std::size_t purgeExpiredLocked() SBSIM_REQUIRES(mutex_);
 
     mutable Mutex mutex_;
-    std::map<std::string, std::weak_ptr<const MaterializedTrace>>
-        refTraces_ SBSIM_GUARDED_BY(mutex_);
-    std::map<std::string, std::weak_ptr<const MissTrace>>
-        missTraces_ SBSIM_GUARDED_BY(mutex_);
-    std::map<std::string, std::weak_ptr<const SamplingPlan>>
-        plans_ SBSIM_GUARDED_BY(mutex_);
-    TraceCacheStats counters_ SBSIM_GUARDED_BY(mutex_);
+    std::tuple<TraceCacheSlot<MaterializedTrace>,
+               TraceCacheSlot<MissTrace>, TraceCacheSlot<SamplingPlan>>
+        slots_ SBSIM_GUARDED_BY(mutex_);
+    std::uint64_t replays_ SBSIM_GUARDED_BY(mutex_) = 0;
+    std::uint64_t expiredPurged_ SBSIM_GUARDED_BY(mutex_) = 0;
 };
 
 } // namespace sbsim

@@ -12,13 +12,17 @@
 
 #include <cmath>
 #include <memory>
+#include <sstream>
 #include <string>
 
+#include "service/run_spec.hh"
 #include "sim/experiment.hh"
 #include "sim/sampled_run.hh"
+#include "sim/sweep_runner.hh"
 #include "trace/materialized_trace.hh"
 #include "trace/phase_profile.hh"
 #include "trace/time_sampler.hh"
+#include "trace/trace_cache.hh"
 #include "workloads/benchmark.hh"
 
 using namespace sbsim;
@@ -35,6 +39,16 @@ materializeBenchmark(const std::string &name, std::uint64_t refs,
     auto workload = b.makeWorkload(level);
     TruncatingSource limited(*workload, refs);
     return MaterializedTrace::fromSource(limited);
+}
+
+/** Every exported metric of @p out, shortest round-trip numbers:
+ *  equal documents mean bit-identical outputs. */
+std::string
+document(const RunOutput &out)
+{
+    std::ostringstream os;
+    runMetrics(out).writeJsonSections(os);
+    return os.str();
 }
 
 } // namespace
@@ -145,3 +159,56 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<const char *> &info) {
         return std::string(info.param);
     });
+
+// A sampled single run and a sampled sweep over the same RunSpec key
+// their sampling plan identically (samplingPlanKey), so with the
+// cache on they share one plan. The cache holds weak references, so
+// the test pins the plan across both calls; a key mismatch on either
+// side would build a second plan.
+TEST(SampledFidelity, RunAndSweepShareOneSamplingPlan)
+{
+    service::RunSpec spec;
+    spec.benchmark = "mgrid";
+    spec.refs = 200000;
+    spec.streams = 4;
+    spec.fidelity = Fidelity::SAMPLED;
+    const std::vector<std::uint32_t> values = {spec.streams};
+
+    TraceCache &cache = TraceCache::instance();
+    cache.clear();
+    SweepRunner runner(2);
+    runner.setCacheReport(false);
+    runner.setTraceCacheEnabled(false);
+    const RunOutput want_run =
+        service::executeRun(spec, nullptr, /*use_trace_cache=*/false)
+            .output;
+    const std::vector<SweepResult> want_sweep =
+        runner.run(service::buildSweepJobs(spec, values));
+    EXPECT_EQ(cache.stats().phasePlansBuilt, 0u);
+
+    const std::string key = service::specSourceKey(spec);
+    const PhaseProfileConfig profile_config;
+    const std::shared_ptr<const MaterializedTrace> input =
+        cache.getOrMaterializeTrace(
+            key, [&spec] { return service::materializeSpecInput(spec); });
+    const std::shared_ptr<const SamplingPlan> pin = cache.getOrBuildPlan(
+        samplingPlanKey(key, profile_config),
+        [&] { return buildSamplingPlan(*input, profile_config); });
+    const RunOutput got_run =
+        service::executeRun(spec, nullptr, /*use_trace_cache=*/true)
+            .output;
+    runner.setTraceCacheEnabled(true);
+    const std::vector<SweepResult> got_sweep =
+        runner.run(service::buildSweepJobs(spec, values));
+
+    const TraceCacheStats stats = cache.stats();
+    EXPECT_EQ(stats.phasePlansBuilt, 1u);
+    EXPECT_GE(stats.phasePlanHits, 2u);
+    EXPECT_EQ(stats.refTracesMaterialized, 1u);
+    EXPECT_EQ(document(got_run), document(want_run));
+    ASSERT_EQ(got_sweep.size(), 1u);
+    ASSERT_EQ(want_sweep.size(), 1u);
+    EXPECT_EQ(document(got_sweep[0].output),
+              document(want_sweep[0].output));
+    cache.clear();
+}

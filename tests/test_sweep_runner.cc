@@ -147,6 +147,79 @@ INSTANTIATE_TEST_SUITE_P(Jobs, SweepRunnerDifferential,
                                         : "j" + std::to_string(info.param);
                          });
 
+/** One input grid of the cache on/off differential. */
+struct CacheGrid
+{
+    std::vector<SweepJob> jobs;
+    std::vector<std::string> labels;
+    /** Distinct (source, L1 front end) pairs among the replaying jobs. */
+    std::uint64_t frontEnds = 0;
+    /** Event-traced jobs: they always run in full, never by replay. */
+    std::vector<EventTrace> events;
+};
+
+/** Secondary-level variants over one front end per benchmark. */
+CacheGrid
+familyGrid()
+{
+    CacheGrid grid;
+    for (const std::string &benchmark : {std::string("mgrid"),
+                                         std::string("is")}) {
+        // A sweep family: secondary-level variants over one front end.
+        for (std::uint32_t streams : {2u, 6u, 10u}) {
+            grid.labels.push_back(benchmark + "/streams" +
+                                  std::to_string(streams));
+            grid.jobs.push_back(benchmarkJob(
+                benchmark, ScaleLevel::DEFAULT, paperSystemConfig(streams),
+                grid.labels.back(), kRefs));
+        }
+        grid.labels.push_back(benchmark + "/czone");
+        grid.jobs.push_back(benchmarkJob(
+            benchmark, ScaleLevel::DEFAULT,
+            paperSystemConfig(10, AllocationPolicy::UNIT_FILTER,
+                              StrideDetection::CZONE, 18),
+            grid.labels.back(), kRefs));
+        ++grid.frontEnds;
+    }
+    return grid;
+}
+
+/**
+ * Two L1 data-cache sizes x three stream counts per benchmark (two
+ * recording families per source key), plus one event-traced job: the
+ * shape for which the planner once materialised a shared reference
+ * trace. Recording straight from each source is the cheaper plan, so
+ * a cold sweep must materialise nothing.
+ */
+CacheGrid
+frontEndGrid()
+{
+    CacheGrid grid;
+    grid.events.resize(1);
+    for (const std::string &benchmark : {std::string("mgrid"),
+                                         std::string("is")}) {
+        for (std::uint64_t l1_kb : {8u, 32u}) {
+            for (std::uint32_t streams : {2u, 6u, 10u}) {
+                MemorySystemConfig config = paperSystemConfig(streams);
+                config.l1.dcache.sizeBytes = l1_kb * 1024;
+                grid.labels.push_back(benchmark + "/l1d" +
+                                      std::to_string(l1_kb) + "k/streams" +
+                                      std::to_string(streams));
+                grid.jobs.push_back(benchmarkJob(
+                    benchmark, ScaleLevel::DEFAULT, config,
+                    grid.labels.back(), kRefs));
+            }
+            ++grid.frontEnds;
+        }
+    }
+    grid.labels.push_back("mgrid/events");
+    grid.jobs.push_back(benchmarkJob("mgrid", ScaleLevel::DEFAULT,
+                                     paperSystemConfig(4),
+                                     grid.labels.back(), kRefs));
+    grid.jobs.back().eventTrace = &grid.events[0];
+    return grid;
+}
+
 // The reuse layer must never change results, only their cost: the same
 // grid run with the trace cache disabled (every job simulated naively)
 // and enabled (front end recorded once per family, members replayed)
@@ -154,48 +227,46 @@ INSTANTIATE_TEST_SUITE_P(Jobs, SweepRunnerDifferential,
 // the record/replay path rather than silently degrading to naive.
 TEST(SweepRunner, TraceCacheOnAndOffBitIdentical)
 {
-    std::vector<SweepJob> jobs;
-    std::vector<std::string> labels;
-    for (const std::string &benchmark : {std::string("mgrid"),
-                                         std::string("is")}) {
-        // A sweep family: secondary-level variants over one front end.
-        for (std::uint32_t streams : {2u, 6u, 10u}) {
-            labels.push_back(benchmark + "/streams" +
-                             std::to_string(streams));
-            jobs.push_back(benchmarkJob(benchmark, ScaleLevel::DEFAULT,
-                                        paperSystemConfig(streams),
-                                        labels.back(), kRefs));
+    for (CacheGrid (*make)() : {familyGrid, frontEndGrid}) {
+        CacheGrid grid = make();
+        const std::vector<SweepJob> &jobs = grid.jobs;
+        const std::vector<std::string> &labels = grid.labels;
+        SCOPED_TRACE(labels.back());
+
+        TraceCache::instance().clear();
+        SweepRunner off(2);
+        off.setTraceCacheEnabled(false);
+        EXPECT_FALSE(off.traceCacheEnabled());
+        std::vector<SweepResult> want = off.run(jobs);
+        TraceCacheStats off_stats = TraceCache::instance().stats();
+        EXPECT_EQ(off_stats.missTracesRecorded, 0u);
+        EXPECT_EQ(off_stats.replays, 0u);
+        const std::vector<EventTrace> want_events = grid.events;
+        for (EventTrace &events : grid.events)
+            events.clear();
+
+        SweepRunner on(2);
+        on.setTraceCacheEnabled(true);
+        std::vector<SweepResult> got = on.run(jobs);
+        TraceCacheStats on_stats = TraceCache::instance().stats();
+        // One recording per (source, front end) family, every member
+        // (recorder included) served by replay, and no shared
+        // reference trace built on the cold cache.
+        EXPECT_EQ(on_stats.missTracesRecorded, grid.frontEnds);
+        EXPECT_EQ(on_stats.replays,
+                  static_cast<std::uint64_t>(jobs.size() -
+                                             grid.events.size()));
+        EXPECT_EQ(on_stats.refTracesMaterialized, 0u);
+
+        ASSERT_EQ(got.size(), want.size());
+        for (std::size_t i = 0; i < got.size(); ++i) {
+            EXPECT_EQ(got[i].label, labels[i]);
+            expectIdentical(got[i].output, want[i].output, labels[i]);
         }
-        labels.push_back(benchmark + "/czone");
-        jobs.push_back(benchmarkJob(
-            benchmark, ScaleLevel::DEFAULT,
-            paperSystemConfig(10, AllocationPolicy::UNIT_FILTER,
-                              StrideDetection::CZONE, 18),
-            labels.back(), kRefs));
-    }
-
-    TraceCache::instance().clear();
-    SweepRunner off(2);
-    off.setTraceCacheEnabled(false);
-    EXPECT_FALSE(off.traceCacheEnabled());
-    std::vector<SweepResult> want = off.run(jobs);
-    TraceCacheStats off_stats = TraceCache::instance().stats();
-    EXPECT_EQ(off_stats.missTracesRecorded, 0u);
-    EXPECT_EQ(off_stats.replays, 0u);
-
-    SweepRunner on(2);
-    on.setTraceCacheEnabled(true);
-    std::vector<SweepResult> got = on.run(jobs);
-    TraceCacheStats on_stats = TraceCache::instance().stats();
-    // Two benchmarks x one shared front end each: one recording per
-    // family, every member (recorder included) served by replay.
-    EXPECT_EQ(on_stats.missTracesRecorded, 2u);
-    EXPECT_EQ(on_stats.replays, static_cast<std::uint64_t>(jobs.size()));
-
-    ASSERT_EQ(got.size(), want.size());
-    for (std::size_t i = 0; i < got.size(); ++i) {
-        EXPECT_EQ(got[i].label, labels[i]);
-        expectIdentical(got[i].output, want[i].output, labels[i]);
+        for (std::size_t k = 0; k < grid.events.size(); ++k) {
+            EXPECT_GT(grid.events[k].size(), 0u);
+            EXPECT_EQ(grid.events[k].events(), want_events[k].events());
+        }
     }
     TraceCache::instance().clear();
 }
