@@ -125,14 +125,7 @@ materializeSpecInput(const RunSpec &spec)
     TimeSampler *sampler = nullptr;
     std::unique_ptr<OwningSourceChain> chain =
         buildSpecChain(spec, &sampler);
-    std::vector<MemAccess> refs =
-        MaterializedTrace::drainVector(*chain);
-    if (sampler) {
-        return std::make_shared<const MaterializedTrace>(
-            std::move(refs), sampler->sampledCount(),
-            sampler->skippedCount());
-    }
-    return std::make_shared<const MaterializedTrace>(std::move(refs));
+    return MaterializedTrace::fromSource(*chain, sampler);
 }
 
 std::string
@@ -226,16 +219,17 @@ executeRun(const RunSpec &spec, EventTrace *events,
     RunExecution exec;
     std::uint64_t sampler_sampled = 0;
     std::uint64_t sampler_skipped = 0;
-    if (use_trace_cache && !events) {
-        // Materialise with TimeSampler counts attached, so a cached
-        // replay still reports them.
-        std::shared_ptr<const MaterializedTrace> trace =
-            TraceCache::instance().getOrMaterializeTrace(
-                specSourceKey(spec),
-                [&spec] { return materializeSpecInput(spec); });
-        sampler_sampled = trace->samplerSampled();
-        sampler_skipped = trace->samplerSkipped();
-        SharedTraceView view(std::move(trace));
+    // The exact path never materializes: it reads the spec's reference
+    // trace when one is resident (adopting it counts a hit), else
+    // regenerates the stream — the same rule as SweepRunner's inputs.
+    std::shared_ptr<const MaterializedTrace> resident =
+        use_trace_cache && !events
+            ? TraceCache::instance().adoptRefTrace(specSourceKey(spec))
+            : nullptr;
+    if (resident) {
+        sampler_sampled = resident->samplerSampled();
+        sampler_skipped = resident->samplerSkipped();
+        SharedTraceView view(std::move(resident));
         exec.references = system.run(view);
     } else {
         TimeSampler *sampler = nullptr;

@@ -91,7 +91,7 @@ std::unique_ptr<TraceSource> makeSpecInput(const RunSpec &spec);
  * metadata when time sampling is on (the sampler is gone by the time
  * the trace is replayed, so this is the only chance to record them).
  * The sampled-fidelity path materialises through this so phase
- * profiling and interval replay see one stable buffer.
+ * profiling and interval replay see one stable trace.
  */
 std::shared_ptr<const MaterializedTrace>
 materializeSpecInput(const RunSpec &spec);
@@ -129,7 +129,10 @@ struct RunExecution
  *
  * @param events Optional structural event capture (caller-owned).
  * @param use_trace_cache Route the input through the process-wide
- *        TraceCache (materialise once, replay a shared view). The
+ *        TraceCache. An exact run reads the spec's reference trace
+ *        when one is resident (a hit) and otherwise regenerates the
+ *        stream, never materialising it; a sampled run materialises
+ *        the trace and its sampling plan once and shares both. The
  *        daemon passes its cache flag here so concurrent requests
  *        over the same input coalesce; results are bit-identical
  *        either way. Ignored when @p events is set — a cached replay

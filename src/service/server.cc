@@ -277,8 +277,10 @@ SweepService::handleLine(const std::shared_ptr<Connection> &conn,
             req.idJson, TraceCache::instance().stats()));
         return;
       case RequestOp::SHUTDOWN:
-        conn->writeLine(simpleResponse(req.idJson, "drain"));
+        // Drain before the ack: a client that has read "drain" must
+        // already see the service draining.
         requestDrain();
+        conn->writeLine(simpleResponse(req.idJson, "drain"));
         return;
       case RequestOp::RUN:
       case RequestOp::SWEEP:

@@ -239,9 +239,10 @@ std::uint64_t
 MemorySystem::run(TraceSource &src)
 {
     if (auto *view = dynamic_cast<SharedTraceView *>(&src)) {
-        // Zero-copy fast path: process the shared buffer in place.
-        // Chunked so the checked-build monotonic-clock audit keeps the
-        // same granularity as the batched path below.
+        // Zero-copy fast path: process the shared trace in place, one
+        // span at a time. Each span is cut into kRunBatch pieces so
+        // the checked-build monotonic-clock audit keeps the same
+        // granularity as the batched path below.
         std::uint64_t n = 0;
         const MemAccess *span;
         std::size_t got;

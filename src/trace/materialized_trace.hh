@@ -1,12 +1,16 @@
 /**
  * @file
- * Level-1 trace reuse: an immutable, flat MemAccess buffer produced
- * once per unique (benchmark, scale, ref_limit, time_sample) source
- * key, shared across sweep jobs via shared_ptr<const ...>, and
- * replayed by SharedTraceView — a TraceSource whose batched path
- * copies contiguous spans out of the shared buffer (and whose
- * nextSpan() hands out zero-copy pointers for consumers that can take
- * them, e.g. MemorySystem::run).
+ * Level-1 trace reuse: an immutable MemAccess sequence produced once
+ * per unique (benchmark, scale, ref_limit, time_sample) source key,
+ * shared across jobs via shared_ptr<const ...>, and replayed by
+ * SharedTraceView — a TraceSource whose batched path copies spans out
+ * of the shared trace (and whose nextSpan() hands out zero-copy
+ * pointers for consumers that can take them, e.g. MemorySystem::run).
+ *
+ * The references live in a ChunkStore (trace/chunk_store.hh): a
+ * source drains straight into fixed-size chunks, with no regrowth or
+ * shrink copy. Readers see the layout only as span(), which yields
+ * the contiguous run from a position to the end of its chunk.
  */
 
 #ifndef STREAMSIM_TRACE_MATERIALIZED_TRACE_HH
@@ -19,7 +23,9 @@
 #include <utility>
 #include <vector>
 
+#include "trace/chunk_store.hh"
 #include "trace/source.hh"
+#include "trace/time_sampler.hh"
 
 namespace sbsim {
 
@@ -28,45 +34,65 @@ namespace sbsim {
 class MaterializedTrace
 {
   public:
-    explicit MaterializedTrace(std::vector<MemAccess> refs)
-        : refs_(std::move(refs))
-    {}
+    /** References per chunk: 64k references = 1.5 MB. */
+    static constexpr std::size_t kChunkRefs = std::size_t{1} << 16;
+
+    explicit MaterializedTrace(const std::vector<MemAccess> &refs)
+    {
+        for (const MemAccess &a : refs)
+            refs_.push_back(a);
+        refs_.shrink();
+    }
 
     /**
      * As above, recording the TimeSampler pass-through counts of the
      * chain that produced @p refs, so runs replaying this trace can
      * still report them (the sampler itself is gone by replay time).
      */
-    MaterializedTrace(std::vector<MemAccess> refs,
+    MaterializedTrace(const std::vector<MemAccess> &refs,
                       std::uint64_t sampler_sampled,
                       std::uint64_t sampler_skipped)
-        : refs_(std::move(refs)), samplerSampled_(sampler_sampled),
-          samplerSkipped_(sampler_skipped), hasSamplerCounts_(true)
-    {}
-
-    /** Drain @p src to completion into a plain vector. */
-    static std::vector<MemAccess>
-    drainVector(TraceSource &src)
+        : MaterializedTrace(refs)
     {
-        std::vector<MemAccess> refs;
-        MemAccess buf[1024];
-        std::size_t got;
-        while ((got = src.nextBatch(buf, 1024)) > 0)
-            refs.insert(refs.end(), buf, buf + got);
-        refs.shrink_to_fit();
-        return refs;
+        setSamplerCounts(sampler_sampled, sampler_skipped);
+    }
+
+    /**
+     * Drain @p src to completion. When @p sampler is the chain's
+     * TimeSampler, its pass-through counts are recorded after the
+     * drain.
+     */
+    explicit MaterializedTrace(TraceSource &src,
+                               const TimeSampler *sampler = nullptr)
+    {
+        refs_.appendFrom([&src](MemAccess *out, std::size_t max) {
+            return src.nextBatch(out, max);
+        });
+        refs_.shrink();
+        if (sampler)
+            setSamplerCounts(sampler->sampledCount(),
+                             sampler->skippedCount());
     }
 
     /** Drain @p src to completion into a new shared trace. */
     static std::shared_ptr<const MaterializedTrace>
-    fromSource(TraceSource &src)
+    fromSource(TraceSource &src, const TimeSampler *sampler = nullptr)
     {
-        return std::make_shared<const MaterializedTrace>(
-            drainVector(src));
+        return std::make_shared<const MaterializedTrace>(src, sampler);
     }
 
-    const MemAccess *data() const { return refs_.data(); }
     std::size_t size() const { return refs_.size(); }
+
+    /**
+     * Point @p out at the contiguous run of references from @p pos to
+     * the end of its chunk. @return the run's length; 0 when @p pos
+     * >= size().
+     */
+    std::size_t
+    span(std::size_t pos, const MemAccess **out) const
+    {
+        return refs_.span(pos, out);
+    }
 
     /** True when the producing chain's TimeSampler counts were
      *  recorded at materialization time. */
@@ -75,14 +101,18 @@ class MaterializedTrace
     std::uint64_t samplerSkipped() const { return samplerSkipped_; }
 
     /** Approximate resident footprint, for the cache report. */
-    std::size_t
-    bytes() const
-    {
-        return sizeof(*this) + refs_.capacity() * sizeof(MemAccess);
-    }
+    std::size_t bytes() const { return sizeof(*this) + refs_.bytes(); }
 
   private:
-    std::vector<MemAccess> refs_;
+    void
+    setSamplerCounts(std::uint64_t sampled, std::uint64_t skipped)
+    {
+        samplerSampled_ = sampled;
+        samplerSkipped_ = skipped;
+        hasSamplerCounts_ = true;
+    }
+
+    ChunkStore<MemAccess, kChunkRefs> refs_;
     std::uint64_t samplerSampled_ = 0;
     std::uint64_t samplerSkipped_ = 0;
     bool hasSamplerCounts_ = false;
@@ -106,39 +136,56 @@ class SharedTraceView final : public TraceSource
     bool
     next(MemAccess &out) override
     {
-        if (pos_ >= trace_->size())
+        if (cur_ == end_ && !refill())
             return false;
-        out = trace_->data()[pos_++];
+        out = *cur_++;
         return true;
     }
 
     std::size_t
     nextBatch(MemAccess *out, std::size_t max) override
     {
-        std::size_t n = std::min(max, trace_->size() - pos_);
-        std::copy_n(trace_->data() + pos_, n, out);
-        pos_ += n;
+        std::size_t n = 0;
+        while (n < max && (cur_ != end_ || refill())) {
+            std::size_t take = std::min<std::size_t>(max - n, end_ - cur_);
+            std::copy_n(cur_, take, out + n);
+            cur_ += take;
+            n += take;
+        }
         return n;
     }
 
     /**
-     * Zero-copy variant of nextBatch: point @p out at the remaining
-     * span of the shared buffer and consume it. The span stays valid
-     * for the lifetime of this view (which keeps the trace alive).
+     * Zero-copy variant of nextBatch: point @p out at the next
+     * contiguous span of the shared trace and consume it. The span
+     * stays valid for the lifetime of this view (which keeps the trace
+     * alive). Call until it returns 0 to consume the whole trace.
      * @return the span length; 0 when exhausted.
      */
     std::size_t
     nextSpan(const MemAccess **out)
     {
-        *out = trace_->data() + pos_;
-        std::size_t n = trace_->size() - pos_;
-        pos_ = trace_->size();
+        if (cur_ == end_ && !refill())
+            return 0;
+        *out = cur_;
+        std::size_t n = static_cast<std::size_t>(end_ - cur_);
+        cur_ = end_;
         return n;
     }
 
-    void reset() override { pos_ = 0; }
+    void
+    reset() override
+    {
+        pos_ = 0;
+        cur_ = end_ = nullptr;
+    }
 
-    std::size_t remaining() const { return trace_->size() - pos_; }
+    std::size_t
+    remaining() const
+    {
+        return trace_->size() - pos_ +
+               static_cast<std::size_t>(end_ - cur_);
+    }
 
     const std::shared_ptr<const MaterializedTrace> &trace() const
     {
@@ -146,8 +193,22 @@ class SharedTraceView final : public TraceSource
     }
 
   private:
+    /** Load the span at pos_ into [cur_, end_); false at the end. */
+    bool
+    refill()
+    {
+        std::size_t n = trace_->span(pos_, &cur_);
+        end_ = cur_ + n;
+        pos_ += n;
+        return n > 0;
+    }
+
     std::shared_ptr<const MaterializedTrace> trace_;
+    /** Start of the first span not yet loaded. */
     std::size_t pos_ = 0;
+    /** The loaded span's unread part. */
+    const MemAccess *cur_ = nullptr;
+    const MemAccess *end_ = nullptr;
 };
 
 } // namespace sbsim

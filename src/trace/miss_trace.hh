@@ -19,9 +19,9 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <vector>
 
 #include "mem/types.hh"
+#include "trace/chunk_store.hh"
 
 namespace sbsim {
 
@@ -88,19 +88,14 @@ struct MissTraceSummary
 };
 
 /**
- * The recorded post-L1 stream plus its front-end summary.
- *
- * Records live in fixed-size chunks rather than one flat vector:
- * recording a long run would otherwise spend more time in vector
- * doubling (copying every already-recorded event on each growth step,
- * then once more in shrink_to_fit) than in the simulation itself.
- * Chunks never move once allocated, append is copy-free, and the only
- * slack is the unfilled tail of the last chunk (trimmed by shrink()).
+ * The recorded post-L1 stream plus its front-end summary. Records live
+ * in a ChunkStore (trace/chunk_store.hh), so recording a long run
+ * never copies an already-recorded event.
  */
 class MissTrace
 {
   public:
-    /** Records per chunk: 64k records ~= 3 MB. */
+    /** Records per chunk: 64k records ~= 3.5 MB. */
     static constexpr std::size_t kChunkRecords = std::size_t{1} << 16;
 
     void
@@ -108,34 +103,20 @@ class MissTrace
            std::uint64_t d_l1_hit, std::uint64_t d_victim_hit,
            std::uint64_t d_sw_prefetch)
     {
-        if (chunks_.empty() || chunks_.back().size() == kChunkRecords) {
-            chunks_.emplace_back();
-            chunks_.back().reserve(kChunkRecords);
-        }
-        chunks_.back().push_back(
+        records_.push_back(
             {access, d_l1_hit, d_victim_hit, d_sw_prefetch, kind});
     }
 
-    std::size_t
-    size() const
-    {
-        if (chunks_.empty())
-            return 0;
-        return (chunks_.size() - 1) * kChunkRecords +
-               chunks_.back().size();
-    }
+    std::size_t size() const { return records_.size(); }
 
-    bool empty() const { return chunks_.empty(); }
+    bool empty() const { return records_.empty(); }
 
     /** Visit every record in recording order. */
     template <typename Fn>
     void
     forEach(Fn &&fn) const
     {
-        for (const std::vector<MissRecord> &chunk : chunks_) {
-            for (const MissRecord &rec : chunk)
-                fn(rec);
-        }
+        records_.forEach(fn);
     }
 
     MissTraceSummary &summary() { return summary_; }
@@ -145,22 +126,14 @@ class MissTrace
     std::size_t
     bytes() const
     {
-        std::size_t records = 0;
-        for (const std::vector<MissRecord> &chunk : chunks_)
-            records += chunk.capacity();
-        return sizeof(*this) + records * sizeof(MissRecord);
+        return sizeof(*this) + records_.bytes();
     }
 
     /** Trim the unfilled tail of the last chunk. */
-    void
-    shrink()
-    {
-        if (!chunks_.empty())
-            chunks_.back().shrink_to_fit();
-    }
+    void shrink() { records_.shrink(); }
 
   private:
-    std::vector<std::vector<MissRecord>> chunks_;
+    ChunkStore<MissRecord, kChunkRecords> records_;
     MissTraceSummary summary_;
 };
 

@@ -91,7 +91,6 @@ buildSamplingPlan(const MaterializedTrace &trace,
     plan.config = config;
     plan.totalRefs = trace.size();
 
-    const MemAccess *refs = trace.data();
     const std::uint64_t n = trace.size();
     plan.intervalsTotal =
         (n + config.intervalRefs - 1) / config.intervalRefs;
@@ -117,23 +116,26 @@ buildSamplingPlan(const MaterializedTrace &trace,
         const BlockMapper mapper(config.blockBytes);
         std::unordered_map<std::uint64_t, std::uint64_t> lastPos;
         lastPos.reserve(1 << 16);
-        for (std::uint64_t pos = 0; pos < n; ++pos) {
-            IntervalProfile &p = profiles[pos / config.intervalRefs];
-            if (p.length == 0)
-                p.begin = pos;
-            ++p.length;
-            const MemAccess &a = refs[pos];
-            if (a.isInstruction())
-                ++p.ifetch;
-            if (a.isWrite())
-                ++p.stores;
-            std::uint64_t block = mapper.blockNumber(a.addr);
-            auto [it, inserted] = lastPos.try_emplace(block, pos);
-            if (inserted) {
-                ++p.cold;
-            } else {
-                p.reuse.add(pos - it->second);
-                it->second = pos;
+        const MemAccess *run;
+        std::uint64_t pos = 0;
+        for (std::size_t len; (len = trace.span(pos, &run)) > 0;) {
+            for (const MemAccess *a = run; a != run + len; ++a, ++pos) {
+                IntervalProfile &p = profiles[pos / config.intervalRefs];
+                if (p.length == 0)
+                    p.begin = pos;
+                ++p.length;
+                if (a->isInstruction())
+                    ++p.ifetch;
+                if (a->isWrite())
+                    ++p.stores;
+                std::uint64_t block = mapper.blockNumber(a->addr);
+                auto [it, inserted] = lastPos.try_emplace(block, pos);
+                if (inserted) {
+                    ++p.cold;
+                } else {
+                    p.reuse.add(pos - it->second);
+                    it->second = pos;
+                }
             }
         }
     }

@@ -52,19 +52,25 @@ class SampledSource final : public TraceSource
     {
         if (pos_ >= limit())
             return false;
-        out = trace_->data()[pos_++];
+        const MemAccess *run;
+        trace_->span(pos_++, &run);
+        out = *run;
         return true;
     }
 
+    /** Copies span by span: an interval may straddle a chunk. */
     std::size_t
     nextBatch(MemAccess *out, std::size_t max) override
     {
-        std::uint64_t left = limit() - pos_;
-        std::size_t got = static_cast<std::size_t>(
-            std::min<std::uint64_t>(max, left));
-        const MemAccess *base = trace_->data() + pos_;
-        std::copy(base, base + got, out);
-        pos_ += got;
+        std::size_t got = 0;
+        const MemAccess *run;
+        while (got < max && pos_ < limit()) {
+            std::uint64_t n = std::min<std::uint64_t>(
+                {max - got, limit() - pos_, trace_->span(pos_, &run)});
+            std::copy_n(run, n, out + got);
+            pos_ += n;
+            got += n;
+        }
         return got;
     }
 

@@ -45,7 +45,7 @@ materializeBenchmark(const char *name, std::uint64_t refs)
     const Benchmark &b = findBenchmark(name);
     auto workload = b.makeWorkload(ScaleLevel::SMALL);
     TruncatingSource limited(*workload, refs);
-    return MaterializedTrace(MaterializedTrace::drainVector(limited));
+    return MaterializedTrace(limited);
 }
 
 /** The estimator identity every plan must satisfy: the weighted sum

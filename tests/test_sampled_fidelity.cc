@@ -5,7 +5,9 @@
  * representative intervals must land within 1 percentage point of the
  * exact full-trace L1 miss rate while simulating at least 10x fewer
  * references — and an exact-fallback plan (short trace) must
- * reproduce the exact run bit for bit.
+ * reproduce the exact run bit for bit. Also pins the interval cursor
+ * (SampledSource) across chunk boundaries of the shared trace, and
+ * the cached exact run path of executeRun, which never materializes.
  */
 
 #include <gtest/gtest.h>
@@ -14,6 +16,7 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "service/run_spec.hh"
 #include "sim/experiment.hh"
@@ -21,6 +24,7 @@
 #include "sim/sweep_runner.hh"
 #include "trace/materialized_trace.hh"
 #include "trace/phase_profile.hh"
+#include "trace/sampled_source.hh"
 #include "trace/time_sampler.hh"
 #include "trace/trace_cache.hh"
 #include "workloads/benchmark.hh"
@@ -210,5 +214,110 @@ TEST(SampledFidelity, RunAndSweepShareOneSamplingPlan)
     ASSERT_EQ(want_sweep.size(), 1u);
     EXPECT_EQ(document(got_sweep[0].output),
               document(want_sweep[0].output));
+    cache.clear();
+}
+
+// A sampled interval's warmup and measured ranges may each straddle a
+// chunk of the shared trace; the cursor must still deliver exactly
+// the drained references, through next() and nextBatch() alike.
+TEST(SampledFidelity, SampledSourceStraddlesChunkBoundaries)
+{
+    constexpr std::uint64_t kChunk = MaterializedTrace::kChunkRefs;
+    std::vector<MemAccess> refs;
+    {
+        auto workload = findBenchmark("mgrid").makeWorkload(
+            ScaleLevel::SMALL);
+        TruncatingSource limited(*workload, 3 * kChunk + 1000);
+        MemAccess a;
+        while (limited.next(a))
+            refs.push_back(a);
+    }
+    ASSERT_EQ(refs.size(), 3 * kChunk + 1000);
+    VectorSource src(refs);
+    const auto trace = MaterializedTrace::fromSource(src);
+
+    // Warmup crosses the first boundary, the measured range the second.
+    const SampledInterval interval{kChunk + 50, kChunk + 400,
+                                   kChunk - 100, 1.0};
+    auto slice = [&refs](std::uint64_t begin, std::uint64_t end) {
+        return std::vector<MemAccess>(refs.begin() + begin,
+                                      refs.begin() + end);
+    };
+    const std::vector<MemAccess> warmup =
+        slice(interval.warmupBegin, interval.begin);
+    const std::vector<MemAccess> measured =
+        slice(interval.begin, interval.begin + interval.length);
+
+    auto drain = [](TraceSource &from, std::size_t batch) {
+        std::vector<MemAccess> out;
+        MemAccess a;
+        if (batch == 0) {
+            while (from.next(a))
+                out.push_back(a);
+            return out;
+        }
+        std::vector<MemAccess> buf(batch);
+        for (std::size_t n; (n = from.nextBatch(buf.data(), batch)) > 0;)
+            out.insert(out.end(), buf.begin(), buf.begin() + n);
+        return out;
+    };
+    SampledSource cursor(trace, interval);
+    for (std::size_t batch : {0, 7, 1000, 200000}) {
+        SCOPED_TRACE(batch);
+        cursor.reset();
+        EXPECT_EQ(drain(cursor, batch), warmup);
+        cursor.startMeasurement();
+        EXPECT_EQ(drain(cursor, batch), measured);
+    }
+}
+
+// A cached exact executeRun reads the spec's reference trace when one
+// is resident (one refTraceHits) and otherwise regenerates the stream:
+// it never materializes one. Either way its document, TimeSampler
+// counts included, equals the uncached run's.
+TEST(SampledFidelity, CachedExactRunNeverMaterializes)
+{
+    TraceCache &cache = TraceCache::instance();
+    for (bool time_sample : {false, true}) {
+        SCOPED_TRACE(time_sample ? "time-sampled" : "plain");
+        service::RunSpec spec;
+        spec.benchmark = "mgrid";
+        spec.refs = 200000;
+        spec.streams = 4;
+        spec.timeSample = time_sample;
+        cache.clear();
+        const RunOutput want =
+            service::executeRun(spec, nullptr, /*use_trace_cache=*/false)
+                .output;
+        EXPECT_EQ(want.sampling.timeSamplerSampled > 0, time_sample);
+
+        const RunOutput cold =
+            service::executeRun(spec, nullptr, /*use_trace_cache=*/true)
+                .output;
+        TraceCacheStats stats = cache.stats();
+        EXPECT_EQ(stats.refTracesMaterialized, 0u);
+        EXPECT_EQ(stats.refTraceHits, 0u);
+        EXPECT_EQ(document(cold), document(want));
+        EXPECT_EQ(cold.sampling.timeSamplerSampled,
+                  want.sampling.timeSamplerSampled);
+        EXPECT_EQ(cold.sampling.timeSamplerSkipped,
+                  want.sampling.timeSamplerSkipped);
+
+        const std::shared_ptr<const MaterializedTrace> pin =
+            cache.getOrMaterializeTrace(
+                service::specSourceKey(spec),
+                [&spec] { return service::materializeSpecInput(spec); });
+        const RunOutput warm =
+            service::executeRun(spec, nullptr, /*use_trace_cache=*/true)
+                .output;
+        stats = cache.stats();
+        EXPECT_EQ(stats.refTracesMaterialized, 1u); // The pin only.
+        EXPECT_EQ(stats.refTraceHits, 1u);
+        EXPECT_EQ(document(warm), document(want));
+        EXPECT_EQ(warm.sampling.timeSamplerSampled,
+                  want.sampling.timeSamplerSampled);
+        EXPECT_EQ(warm.sampling.timeSamplerSkipped,
+                  want.sampling.timeSamplerSkipped);
+    }
     cache.clear();
 }
