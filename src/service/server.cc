@@ -15,6 +15,7 @@
 #include "sim/sweep_runner.hh"
 #include "trace/trace_cache.hh"
 #include "util/logging.hh"
+#include "util/stats.hh"
 
 namespace sbsim {
 namespace service {
@@ -359,16 +360,21 @@ SweepService::execute(const WorkItem &item)
         // per-request reports would interleave across executors.
         runner.setCacheReport(false);
         runner.setTraceCacheEnabled(config_.traceCache);
-        std::vector<SweepResult> results = runner.run(jobs);
+        double elapsed = 0;
+        std::vector<SweepResult> results;
+        {
+            ScopedTimer timer(elapsed);
+            results = runner.run(jobs);
+        }
         std::uint64_t refs = 0;
         for (const SweepResult &r : results)
             refs += r.references;
         std::ostringstream doc;
         if (runner.traceCacheEnabled()) {
             TraceCacheStats stats = TraceCache::instance().stats();
-            writeSweepJson(results, doc, &stats);
+            writeSweepJson(results, doc, &stats, elapsed);
         } else {
-            writeSweepJson(results, doc);
+            writeSweepJson(results, doc, nullptr, elapsed);
         }
         item.conn->writeLine(
             resultResponse(req.idJson, kind, refs, doc.str()));

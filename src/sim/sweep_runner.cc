@@ -461,7 +461,7 @@ SweepRunner::serialForced()
 
 void
 writeSweepJson(const std::vector<SweepResult> &results, std::ostream &os,
-               const TraceCacheStats *cache_stats)
+               const TraceCacheStats *cache_stats, double elapsed_seconds)
 {
     os << "{\"schema\":\"streamsim-metrics\",\"schema_version\":"
        << kMetricsSchemaVersion << ",\"kind\":\"sweep\",\"jobs\":[";
@@ -488,6 +488,7 @@ writeSweepJson(const std::vector<SweepResult> &results, std::ostream &os,
     os << "],\"aggregate\":{\"jobs\":" << results.size()
        << ",\"references\":" << total_refs
        << ",\"wall_seconds\":" << jsonNumber(total_wall)
+       << ",\"elapsed_seconds\":" << jsonNumber(elapsed_seconds)
        << ",\"refs_per_second\":" << jsonNumber(rate);
     if (cache_stats) {
         os << ",\"trace_cache\":";

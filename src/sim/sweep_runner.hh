@@ -265,14 +265,20 @@ std::string samplingPlanKey(const std::string &source_key,
  * Serialise sweep results as one JSON document: a "jobs" array of
  * per-job metric sections (label + the full runMetrics section set)
  * plus an "aggregate" object (job count, total references, wall
- * seconds, aggregate refs/s). Field order is deterministic. When
- * @p cache_stats is non-null the aggregate also carries a
- * "trace_cache" object (hits / materialisations / recordings /
- * replays / resident bytes).
+ * seconds summed over jobs, elapsed seconds, aggregate refs/s). Field
+ * order is deterministic. When @p cache_stats is non-null the
+ * aggregate also carries a "trace_cache" object (hits /
+ * materialisations / recordings / replays / resident bytes).
+ *
+ * @p elapsed_seconds is the caller's wall-clock time of the whole
+ * SweepRunner::run call, pre-passes included (0 when not measured).
+ * Per-job wall_seconds leave the pre-passes out and overlap across
+ * workers, so their sum is not the sweep's wall time.
  */
 void writeSweepJson(const std::vector<SweepResult> &results,
                     std::ostream &os,
-                    const TraceCacheStats *cache_stats = nullptr);
+                    const TraceCacheStats *cache_stats = nullptr,
+                    double elapsed_seconds = 0);
 
 /**
  * Serialise sweep results as CSV: one row per job (label, references,

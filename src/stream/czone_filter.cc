@@ -26,10 +26,15 @@ CzoneFilter::setCzoneBits(unsigned bits)
 CzoneFilter::Slot *
 CzoneFilter::find(Addr tag)
 {
-    for (auto &s : slots_)
-        if (s.valid && s.tag == tag)
-            return &s;
-    return nullptr;
+    // Without a branch per slot: valid tags are distinct
+    // (auditState()), and the backward scan keeps the first match
+    // regardless.
+    Slot *found = nullptr;
+    for (std::size_t i = slots_.size(); i-- > 0;) {
+        Slot &s = slots_[i];
+        found = (s.valid & (s.tag == tag)) ? &s : found;
+    }
+    return found;
 }
 
 CzoneFilter::Slot &

@@ -100,8 +100,13 @@ PrefetchEngine::onPrimaryMiss(const MemAccess &access, std::uint64_t now)
     lastIssued_.clear();
 
     StreamSet &set = setFor(access);
-    StreamLookup lookup =
-        set.lookup(access.addr, now, config_.associativeLookup);
+    StreamLookup lookup;
+    if (config_.associativeLookup) {
+        extraRefills_.clear();
+        lookup = set.lookupAssociative(access.addr, now, extraRefills_);
+    } else {
+        lookup = set.lookup(access.addr, now);
+    }
     if (lookup.hit) {
         ++stats_.hits;
         stats_.uselessFlushed += lookup.skipped;
@@ -109,8 +114,11 @@ PrefetchEngine::onPrimaryMiss(const MemAccess &access, std::uint64_t now)
         outcome.issueTick = lookup.consume.issueTick;
         if (lookup.consume.refillIssued) {
             lastIssued_.push_back(lookup.consume.refillBlock);
-            for (BlockAddr extra : lookup.consume.extraRefills)
-                lastIssued_.push_back(extra);
+            if (config_.associativeLookup) {
+                lastIssued_.insert(lastIssued_.end(),
+                                   extraRefills_.begin(),
+                                   extraRefills_.end());
+            }
             outcome.prefetchesIssued =
                 static_cast<std::uint32_t>(lastIssued_.size());
             stats_.prefetchesIssued += lastIssued_.size();

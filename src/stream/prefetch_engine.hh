@@ -196,6 +196,9 @@ class PrefetchEngine
     StreamEngineStats stats_;
     BucketedDistribution lengthDist_;
     std::vector<BlockAddr> lastIssued_;
+    /** Associative lookups' refills beyond the first, reused so the
+     *  per-miss hot path does not allocate. */
+    std::vector<BlockAddr> extraRefills_;
     EventTrace *events_ = nullptr;
     /** Tick of the most recent onPrimaryMiss; timestamps the flush
      *  events finalize() emits for the streams still alive at EOF. */

@@ -9,6 +9,8 @@ StreamBuffer::StreamBuffer(std::uint32_t depth, std::uint32_t block_size)
     : mapper_(block_size), depth_(depth), entries_(depth)
 {
     SBSIM_ASSERT(depth > 0, "stream depth must be nonzero");
+    SBSIM_ASSERT(block_size >= 2, "stream block size must be at least 2 "
+                 "bytes, got ", block_size);
 }
 
 void
@@ -27,18 +29,19 @@ StreamBuffer::auditState() const
         std::uint32_t offset = i >= head_ ? i - head_ : i + depth_ - head_;
         bool in_window = offset < count_;
         if (!in_window) {
-            SBSIM_ASSERT(!entries_[i].valid, "valid entry at slot ", i,
+            SBSIM_ASSERT(entries_[i].block == kNoBlock,
+                         "valid entry at slot ", i,
                          " outside window [", head_, ", ", head_, "+",
                          count_, ")");
         }
     }
     for (std::uint32_t i = 0; i < count_; ++i) {
         const Entry &a = entries_[wrap(head_ + i)];
-        if (!a.valid)
+        if (a.block == kNoBlock)
             continue;
         for (std::uint32_t j = i + 1; j < count_; ++j) {
             const Entry &b = entries_[wrap(head_ + j)];
-            SBSIM_ASSERT(!b.valid || a.block != b.block,
+            SBSIM_ASSERT(a.block != b.block,
                          "duplicate block ", a.block,
                          " in stream FIFO positions ", i, "/", j);
         }
@@ -61,7 +64,7 @@ StreamBuffer::issuePrefetch(std::uint64_t now)
     lastBlock_ = block;
 
     std::uint32_t slot = wrap(head_ + count_);
-    entries_[slot] = {block, now, true};
+    entries_[slot] = {block, now};
     ++count_;
     return block;
 }
@@ -94,8 +97,7 @@ StreamBuffer::probeAnyBlock(BlockAddr block) const
     if (!active_)
         return -1;
     for (std::uint32_t i = 0; i < count_; ++i) {
-        const Entry &e = entries_[wrap(head_ + i)];
-        if (e.valid && e.block == block)
+        if (entries_[wrap(head_ + i)].block == block)
             return static_cast<int>(i);
     }
     return -1;
@@ -104,13 +106,13 @@ StreamBuffer::probeAnyBlock(BlockAddr block) const
 StreamConsume
 StreamBuffer::consumeHead(std::uint64_t now)
 {
-    SBSIM_ASSERT(active_ && count_ > 0 && entries_[head_].valid,
+    SBSIM_ASSERT(headBlock() != kNoBlock,
                  "consumeHead without a valid head");
     StreamConsume result;
     result.block = entries_[head_].block;
     result.issueTick = entries_[head_].issueTick;
 
-    entries_[head_].valid = false;
+    entries_[head_].block = kNoBlock;
     head_ = wrap(head_ + 1);
     --count_;
     ++hitRun_;
@@ -125,7 +127,8 @@ StreamBuffer::consumeHead(std::uint64_t now)
 
 StreamConsume
 StreamBuffer::consumeAt(int position, std::uint64_t now,
-                        std::uint32_t &skipped_out)
+                        std::uint32_t &skipped_out,
+                        std::vector<BlockAddr> &extra_refills_out)
 {
     SBSIM_ASSERT(position >= 0 &&
                      static_cast<std::uint32_t>(position) < count_,
@@ -133,9 +136,9 @@ StreamBuffer::consumeAt(int position, std::uint64_t now,
     // Discard bypassed entries ahead of the hit.
     for (int i = 0; i < position; ++i) {
         Entry &e = entries_[head_];
-        if (e.valid)
+        if (e.block != kNoBlock)
             ++skipped_out;
-        e.valid = false;
+        e.block = kNoBlock;
         head_ = wrap(head_ + 1);
         --count_;
     }
@@ -143,7 +146,7 @@ StreamBuffer::consumeAt(int position, std::uint64_t now,
     StreamConsume result;
     result.block = entries_[head_].block;
     result.issueTick = entries_[head_].issueTick;
-    entries_[head_].valid = false;
+    entries_[head_].block = kNoBlock;
     head_ = wrap(head_ + 1);
     --count_;
     ++hitRun_;
@@ -152,7 +155,7 @@ StreamBuffer::consumeAt(int position, std::uint64_t now,
     result.refillBlock = issuePrefetch(now);
     result.refillIssued = true;
     while (count_ < depth_)
-        result.extraRefills.push_back(issuePrefetch(now));
+        extra_refills_out.push_back(issuePrefetch(now));
 #ifdef STREAMSIM_CHECKED
     auditState();
 #endif
@@ -162,13 +165,12 @@ StreamBuffer::consumeAt(int position, std::uint64_t now,
 std::uint32_t
 StreamBuffer::invalidate(BlockAddr block)
 {
-    if (!active_)
-        return 0;
+    // Slots outside the FIFO window hold kNoBlock (auditState()), so
+    // every slot can be compared without walking the window.
     std::uint32_t n = 0;
-    for (std::uint32_t i = 0; i < count_; ++i) {
-        Entry &e = entries_[wrap(head_ + i)];
-        if (e.valid && e.block == block) {
-            e.valid = false;
+    for (Entry &e : entries_) {
+        if (e.block == block) {
+            e.block = kNoBlock;
             ++n;
         }
     }
@@ -186,9 +188,9 @@ StreamBuffer::drain()
     result.hitRun = hitRun_;
     for (std::uint32_t i = 0; i < count_; ++i) {
         Entry &e = entries_[wrap(head_ + i)];
-        if (e.valid)
+        if (e.block != kNoBlock)
             ++result.uselessPrefetches;
-        e.valid = false;
+        e.block = kNoBlock;
     }
     head_ = 0;
     count_ = 0;

@@ -31,9 +31,6 @@ struct StreamConsume
     std::uint64_t issueTick = 0; ///< When its prefetch was issued.
     bool refillIssued = false;   ///< A new tail prefetch was generated.
     BlockAddr refillBlock = 0;   ///< Block address of that prefetch.
-    /** Additional refills (associative lookup only: one per bypassed
-     *  entry, so the FIFO returns to full depth). */
-    std::vector<BlockAddr> extraRefills;
 };
 
 /** Result of flushing a stream on reallocation. */
@@ -54,8 +51,15 @@ class StreamBuffer
 {
   public:
     /**
+     * Marks an empty FIFO slot, and is what headBlock() reports for a
+     * stream with no valid head. A block base address of a block of
+     * two or more bytes has its low bit clear, so it is never a block.
+     */
+    static constexpr BlockAddr kNoBlock = ~BlockAddr{0};
+
+    /**
      * @param depth Number of FIFO entries (the paper fixes 2).
-     * @param block_size Cache block size in bytes.
+     * @param block_size Cache block size in bytes (at least 2).
      */
     StreamBuffer(std::uint32_t depth, std::uint32_t block_size);
 
@@ -84,15 +88,20 @@ class StreamBuffer
     /** True when the valid head entry holds the block containing @p a. */
     bool probeHead(Addr a) const { return probeHeadBlock(mapper_.blockBase(a)); }
 
-    /** As probeHead() for a pre-computed block base address, so a
-     *  caller probing many streams converts the address once. */
-    bool
-    probeHeadBlock(BlockAddr block) const
+    /** As probeHead() for a pre-computed block base address. */
+    bool probeHeadBlock(BlockAddr block) const { return headBlock() == block; }
+
+    /**
+     * The block of the valid head entry, or kNoBlock when the stream
+     * is inactive, empty or its head was invalidated. StreamSet
+     * mirrors this value per stream so a lookup scans one array.
+     */
+    BlockAddr
+    headBlock() const
     {
-        if (!active_ || count_ == 0)
-            return false;
-        const Entry &head = entries_[head_];
-        return head.valid && head.block == block;
+        // An inactive stream is empty, and an empty slot holds
+        // kNoBlock (see auditState()).
+        return count_ == 0 ? kNoBlock : entries_[head_].block;
     }
 
     /**
@@ -114,12 +123,15 @@ class StreamBuffer
     /**
      * Consume the entry at @p position (from probeAny), discarding the
      * entries ahead of it — they were prefetched but bypassed.
-     * Refills the FIFO to full depth.
+     * Refills the FIFO to full depth: the first refill is the
+     * result's refillBlock, the rest (one per bypassed entry) are
+     * appended to @p extra_refills_out in issue order.
      * @param skipped_out Incremented by the number of valid entries
      *        discarded ahead of the hit (wasted prefetches).
      */
     StreamConsume consumeAt(int position, std::uint64_t now,
-                            std::uint32_t &skipped_out);
+                            std::uint32_t &skipped_out,
+                            std::vector<BlockAddr> &extra_refills_out);
 
     /**
      * Invalidate any entry holding @p block (a write-back passed by on
@@ -132,11 +144,12 @@ class StreamBuffer
     StreamFlush drain();
 
   private:
+    /** A FIFO slot; invalid (never prefetched, consumed or
+     *  invalidated) when block == kNoBlock. */
     struct Entry
     {
-        BlockAddr block = 0;
+        BlockAddr block = kNoBlock;
         std::uint64_t issueTick = 0;
-        bool valid = false;
     };
 
     /** Issue one prefetch at the tail; returns the block prefetched. */

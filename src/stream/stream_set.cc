@@ -11,7 +11,9 @@ StreamSet::StreamSet(std::uint32_t num_streams, std::uint32_t depth,
     : mapper_(block_size),
       numStreams_(num_streams),
       replacement_(replacement),
-      lastUse_(num_streams, 0)
+      heads_(num_streams, StreamBuffer::kNoBlock),
+      lastUse_(num_streams, 0),
+      inactive_(num_streams)
 {
     SBSIM_ASSERT(num_streams > 0, "need at least one stream");
     streams_.reserve(num_streams);
@@ -28,7 +30,13 @@ StreamSet::auditState() const
     // lastUse_ is the LRU stack as timestamps: values may not run
     // ahead of the clock and nonzero values must be distinct, or
     // victimStream() would reallocate an arbitrary stream.
+    std::uint32_t inactive = 0;
     for (std::uint32_t i = 0; i < numStreams_; ++i) {
+        // lookup() compares against the mirror alone.
+        SBSIM_ASSERT(heads_[i] == streams_[i].headBlock(), "stream ", i,
+                     " head mirror ", heads_[i], " != head ",
+                     streams_[i].headBlock());
+        inactive += streams_[i].active() ? 0 : 1;
         SBSIM_ASSERT(lastUse_[i] <= tick_, "stream ", i,
                      " timestamp ", lastUse_[i], " ahead of clock ",
                      tick_);
@@ -39,43 +47,62 @@ StreamSet::auditState() const
                          "duplicate stream timestamps on ", i, "/", j);
         }
     }
+    SBSIM_ASSERT(inactive == inactive_, "inactive count ", inactive_,
+                 " but ", inactive, " streams inactive");
+}
+
+void
+StreamSet::touch(std::uint32_t i)
+{
+    heads_[i] = streams_[i].headBlock();
+    lastUse_[i] = ++tick_;
+#ifdef STREAMSIM_CHECKED
+    auditState();
+#endif
 }
 
 // analyze:hot-path
 StreamLookup
-StreamSet::lookup(Addr a, std::uint64_t now, bool associative)
+StreamSet::lookup(Addr a, std::uint64_t now)
 {
     StreamLookup result;
     // Convert to a block base once; every stream comparator sees the
     // same block address (one adder feeding all comparators, as in
     // the hardware).
-    BlockAddr block = mapper_.blockBase(a);
+    const BlockAddr block = mapper_.blockBase(a);
+    // First matching head, without a branch per stream: the scan runs
+    // backwards so the lowest matching index is the one kept.
+    const BlockAddr *heads = heads_.data();
+    std::uint32_t hit = numStreams_;
+    for (std::uint32_t i = numStreams_; i-- > 0;)
+        hit = heads[i] == block ? i : hit;
+    if (hit == numStreams_)
+        return result;
+    result.hit = true;
+    result.stream = hit;
+    result.consume = streams_[hit].consumeHead(now);
+    touch(hit);
+    return result;
+}
+
+// analyze:hot-path
+StreamLookup
+StreamSet::lookupAssociative(Addr a, std::uint64_t now,
+                             std::vector<BlockAddr> &extra_refills_out)
+{
+    StreamLookup result = lookup(a, now);
+    if (result.hit)
+        return result;
+    const BlockAddr block = mapper_.blockBase(a);
     for (std::uint32_t i = 0; i < numStreams_; ++i) {
-        if (streams_[i].probeHeadBlock(block)) {
+        int pos = streams_[i].probeAnyBlock(block);
+        if (pos >= 0) {
             result.hit = true;
             result.stream = i;
-            result.consume = streams_[i].consumeHead(now);
-            lastUse_[i] = ++tick_;
-#ifdef STREAMSIM_CHECKED
-            auditState();
-#endif
+            result.consume = streams_[i].consumeAt(
+                pos, now, result.skipped, extra_refills_out);
+            touch(i);
             return result;
-        }
-    }
-    if (associative) {
-        for (std::uint32_t i = 0; i < numStreams_; ++i) {
-            int pos = streams_[i].probeAnyBlock(block);
-            if (pos >= 0) {
-                result.hit = true;
-                result.stream = i;
-                result.consume =
-                    streams_[i].consumeAt(pos, now, result.skipped);
-                lastUse_[i] = ++tick_;
-#ifdef STREAMSIM_CHECKED
-                auditState();
-#endif
-                return result;
-            }
         }
     }
     return result;
@@ -85,9 +112,11 @@ std::uint32_t
 StreamSet::victimStream()
 {
     // Inactive streams are free and picked first under every policy.
-    for (std::uint32_t i = 0; i < numStreams_; ++i)
-        if (!streams_[i].active())
-            return i;
+    if (inactive_ > 0) {
+        for (std::uint32_t i = 0; i < numStreams_; ++i)
+            if (!streams_[i].active())
+                return i;
+    }
 
     switch (replacement_) {
       case StreamReplacement::FIFO: {
@@ -130,10 +159,9 @@ StreamSet::allocate(Addr miss_addr, std::int64_t stride_bytes,
     std::uint32_t victim = victimStream();
     flushed_out =
         streams_[victim].allocate(miss_addr, stride_bytes, now, issued_out);
-    lastUse_[victim] = ++tick_;
-#ifdef STREAMSIM_CHECKED
-    auditState();
-#endif
+    if (!flushed_out.wasActive)
+        --inactive_;
+    touch(victim);
     return victim;
 }
 
@@ -141,8 +169,15 @@ std::uint32_t
 StreamSet::invalidate(BlockAddr block)
 {
     std::uint32_t n = 0;
-    for (auto &s : streams_)
-        n += s.invalidate(block);
+    for (std::uint32_t i = 0; i < numStreams_; ++i) {
+        if (std::uint32_t k = streams_[i].invalidate(block)) {
+            n += k;
+            heads_[i] = streams_[i].headBlock();
+        }
+    }
+#ifdef STREAMSIM_CHECKED
+    auditState();
+#endif
     return n;
 }
 
@@ -153,6 +188,11 @@ StreamSet::drainAll()
     out.reserve(numStreams_);
     for (auto &s : streams_)
         out.push_back(s.drain());
+    heads_.assign(numStreams_, StreamBuffer::kNoBlock);
+    inactive_ = numStreams_;
+#ifdef STREAMSIM_CHECKED
+    auditState();
+#endif
     return out;
 }
 

@@ -4,6 +4,10 @@
  * paper): the primary-cache miss address is compared with the head of
  * every stream; on a hit the block moves to the primary cache, and on
  * allocation the least-recently-used stream is flushed and reset.
+ *
+ * The bank keeps each stream's head block in one contiguous array (the
+ * hardware's row of head comparators), so a lookup compares against
+ * that array alone and touches a StreamBuffer only on a hit.
  */
 
 #ifndef STREAMSIM_STREAM_STREAM_SET_HH
@@ -78,11 +82,18 @@ class StreamSet
     /**
      * Compare @p a against every stream head; consume on a hit. The
      * hitting stream becomes most recently used.
-     * @param associative Also match non-head entries (Jouppi's
-     *        quasi-sequential variant), discarding bypassed ones.
      */
-    StreamLookup lookup(Addr a, std::uint64_t now,
-                        bool associative = false);
+    StreamLookup lookup(Addr a, std::uint64_t now);
+
+    /**
+     * As lookup(), but a reference that matches no head may also match
+     * a non-head entry (Jouppi's quasi-sequential variant), discarding
+     * the entries bypassed ahead of it. The refills beyond the first
+     * (consume.refillBlock) are appended to @p extra_refills_out, a
+     * buffer the caller reuses across lookups.
+     */
+    StreamLookup lookupAssociative(Addr a, std::uint64_t now,
+                                   std::vector<BlockAddr> &extra_refills_out);
 
     /**
      * Reallocate the LRU stream to prefetch from @p miss_addr with the
@@ -118,10 +129,15 @@ class StreamSet
   private:
     std::uint32_t victimStream();
 
+    /** Stream @p i was just consumed or reallocated: mirror its new
+     *  head and make it most recently used. */
+    void touch(std::uint32_t i);
+
     /**
      * Structural invariant walk (checked builds only; see
      * util/audit.hh): LRU timestamps bounded by the clock and
-     * pairwise-distinct when nonzero, rotation pointer in range.
+     * pairwise-distinct when nonzero, rotation pointer in range, the
+     * inactive count and head mirror in step with the streams.
      */
     void auditState() const;
 
@@ -129,7 +145,13 @@ class StreamSet
     std::uint32_t numStreams_;
     StreamReplacement replacement_;
     std::vector<StreamBuffer> streams_;
+    /** heads_[i] == streams_[i].headBlock(), refreshed on every
+     *  change to stream i. */
+    std::vector<BlockAddr> heads_;
     std::vector<std::uint64_t> lastUse_;
+    /** Streams not yet allocated (or drained); victimStream() takes
+     *  the first of them before any policy applies. */
+    std::uint32_t inactive_;
     std::uint64_t tick_ = 0;
     std::uint32_t nextVictim_ = 0; ///< FIFO rotation pointer.
     Pcg32 rng_{0x5eedf00d};        ///< RANDOM victim choice.

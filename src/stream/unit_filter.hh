@@ -28,7 +28,9 @@ class UnitStrideFilter
     explicit UnitStrideFilter(std::uint32_t entries);
 
     /**
-     * Process a stream miss to block number @p miss_block.
+     * Process a stream miss to block number @p miss_block. Block
+     * numbers of blocks of two or more bytes stay below 2^63, clear of
+     * the empty-slot sentinel.
      *
      * @return true when the miss matches a stored expectation, i.e. a
      *         unit-stride pattern was verified and a stream should be
@@ -44,13 +46,11 @@ class UnitStrideFilter
     void reset();
 
   private:
-    struct Slot
-    {
-        std::uint64_t expectedBlock = 0;
-        bool valid = false;
-    };
+    /** An empty slot; no block number or expectation equals it. */
+    static constexpr std::uint64_t kEmpty = ~std::uint64_t{0};
 
-    std::vector<Slot> slots_;
+    /** Expected next-block numbers, kEmpty when free. */
+    std::vector<std::uint64_t> slots_;
     std::uint32_t nextVictim_ = 0;
     Counter lookups_;
     Counter matches_;

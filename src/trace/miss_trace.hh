@@ -19,9 +19,11 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 
 #include "mem/types.hh"
 #include "trace/chunk_store.hh"
+#include "util/logging.hh"
 
 namespace sbsim {
 
@@ -43,7 +45,9 @@ struct MissRecord
     };
 
     /** The (already translated) reference presented to the secondary
-     *  level. */
+     *  level. A recorded trace does not keep access.pc (MissTrace
+     *  stores records packed, and the secondary level never reads the
+     *  pc), so a replayed record carries pc == 0. */
     MemAccess access;
 
     /** Front-end cycles accumulated since the previous record, split
@@ -91,32 +95,104 @@ struct MissTraceSummary
  * The recorded post-L1 stream plus its front-end summary. Records live
  * in a ChunkStore (trace/chunk_store.hh), so recording a long run
  * never copies an already-recorded event.
+ *
+ * Each record is stored packed in 16 bytes rather than as a 56-byte
+ * MissRecord, so a sweep's replays walk (and the trace cache keeps
+ * resident) under a third of the memory. The packed form drops
+ * MemAccess::pc: nothing below the L1 reads it (the stream engine,
+ * the L2 and the bus see only address, type and size), so replay
+ * never needs it and forEach() hands records back with pc == 0. Of
+ * the three cycle deltas it keeps the L1-hit delta as 32 bits; a
+ * record whose L1-hit delta does not fit, or whose victim-hit or
+ * software-prefetch delta is non-zero, is flagged wide and its three
+ * full deltas go, in record order, into a second store that only
+ * victim-buffer and software-prefetch front ends ever fill.
  */
 class MissTrace
 {
   public:
-    /** Records per chunk: 64k records ~= 3.5 MB. */
+    /** Records per chunk: 64k records ~= 1 MB. */
     static constexpr std::size_t kChunkRecords = std::size_t{1} << 16;
+
+    /** Wide-record delta triples per chunk: 4k triples = 96 KB. */
+    static constexpr std::size_t kWideChunkRecords = std::size_t{1} << 12;
+
+    /** The stored form of one MissRecord. */
+    struct Packed
+    {
+        Addr addr;
+        /** The L1-hit cycle delta; 0 in a wide record. */
+        std::uint32_t dL1Hit;
+        MissRecord::Kind kind;
+        AccessType type;
+        std::uint8_t size;
+        /** The deltas are the next entry of the wide store. */
+        bool wide;
+    };
+    static_assert(sizeof(Packed) == 16, "a packed record is 16 bytes");
+
+    /** The three full deltas of a wide record. */
+    struct WideDeltas
+    {
+        std::uint64_t dL1Hit;
+        std::uint64_t dVictimHit;
+        std::uint64_t dSwPrefetch;
+    };
 
     void
     append(MissRecord::Kind kind, const MemAccess &access,
            std::uint64_t d_l1_hit, std::uint64_t d_victim_hit,
            std::uint64_t d_sw_prefetch)
     {
+        const bool wide = d_l1_hit > std::numeric_limits<std::uint32_t>::max() || d_victim_hit != 0 ||
+                          d_sw_prefetch != 0;
+        if (wide)
+            wide_.push_back({d_l1_hit, d_victim_hit, d_sw_prefetch});
         records_.push_back(
-            {access, d_l1_hit, d_victim_hit, d_sw_prefetch, kind});
+            {access.addr,
+             wide ? 0 : static_cast<std::uint32_t>(d_l1_hit), kind,
+             access.type, access.size, wide});
     }
 
     std::size_t size() const { return records_.size(); }
 
     bool empty() const { return records_.empty(); }
 
-    /** Visit every record in recording order. */
+    /** Records that carry their deltas in the wide store. */
+    std::size_t wideRecords() const { return wide_.size(); }
+
+    /** Visit every record, decoded to a MissRecord, in recording
+     *  order. */
     template <typename Fn>
     void
     forEach(Fn &&fn) const
     {
-        records_.forEach(fn);
+        const WideDeltas *wide = nullptr;
+        std::size_t wide_pos = 0;
+        std::size_t wide_left = 0;
+        records_.forEach([&](const Packed &p) {
+            MissRecord rec;
+            rec.access.addr = p.addr;
+            rec.access.type = p.type;
+            rec.access.size = p.size;
+            rec.kind = p.kind;
+            if (!p.wide) {
+                rec.dL1HitCycles = p.dL1Hit;
+            } else {
+                if (wide_left == 0) {
+                    wide_left = wide_.span(wide_pos, &wide);
+                    SBSIM_ASSERT(wide_left > 0,
+                                 "wide record without its deltas");
+                }
+                rec.dL1HitCycles = wide->dL1Hit;
+                rec.dVictimHitCycles = wide->dVictimHit;
+                rec.dSwPrefetchCycles = wide->dSwPrefetch;
+                ++wide;
+                ++wide_pos;
+                --wide_left;
+            }
+            fn(static_cast<const MissRecord &>(rec));
+        });
     }
 
     MissTraceSummary &summary() { return summary_; }
@@ -126,14 +202,20 @@ class MissTrace
     std::size_t
     bytes() const
     {
-        return sizeof(*this) + records_.bytes();
+        return sizeof(*this) + records_.bytes() + wide_.bytes();
     }
 
-    /** Trim the unfilled tail of the last chunk. */
-    void shrink() { records_.shrink(); }
+    /** Trim the unfilled tails of the last chunks. */
+    void
+    shrink()
+    {
+        records_.shrink();
+        wide_.shrink();
+    }
 
   private:
-    ChunkStore<MissRecord, kChunkRecords> records_;
+    ChunkStore<Packed, kChunkRecords> records_;
+    ChunkStore<WideDeltas, kWideChunkRecords> wide_;
     MissTraceSummary summary_;
 };
 

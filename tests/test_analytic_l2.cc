@@ -10,11 +10,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "cache/cache.hh"
+#include "sim/experiment.hh"
 #include "sim/l2_study.hh"
 #include "sim/memory_system.hh"
 #include "trace/source.hh"
@@ -306,4 +309,83 @@ TEST(AnalyticCacheStudy, SharesProfilersAcrossBlockSizes)
     ASSERT_EQ(results.size(), table4CandidateConfigs().size());
     for (const L2Result &r : results)
         EXPECT_EQ(r.sampledAccesses, 3u);
+}
+
+namespace {
+
+/** @p trace without its WRITEBACK records; each dropped record's
+ *  front-end cycles move to the next kept one, so the clock is
+ *  unchanged. */
+MissTrace
+withoutWritebacks(const MissTrace &trace)
+{
+    MissTrace out;
+    std::uint64_t l1 = 0, victim = 0, sw = 0;
+    trace.forEach([&](const MissRecord &rec) {
+        l1 += rec.dL1HitCycles;
+        victim += rec.dVictimHitCycles;
+        sw += rec.dSwPrefetchCycles;
+        if (rec.kind == MissRecord::Kind::WRITEBACK)
+            return;
+        out.append(rec.kind, rec.access, l1, victim, sw);
+        l1 = victim = sw = 0;
+    });
+    out.summary() = trace.summary();
+    out.summary().tailL1HitCycles += l1;
+    out.summary().tailVictimHitCycles += victim;
+    out.summary().tailSwPrefetchCycles += sw;
+    return out;
+}
+
+/** Largest |analytic - simulated| L2 miss ratio over the Table 4 grid
+ *  (the absErrorPct of L2ModelKind::BOTH), every job replaying
+ *  @p trace as the benchmark's miss stream. */
+double
+maxTable4Error(const std::string &benchmark,
+               std::shared_ptr<const MissTrace> trace,
+               std::uint64_t refs)
+{
+    std::vector<SweepJob> jobs;
+    for (const CacheConfig &l2 : table4CandidateConfigs()) {
+        MemorySystemConfig config = paperSystemConfig();
+        config.useStreams = false;
+        config.useL2 = true;
+        config.l2 = l2;
+        SweepJob job = benchmarkJob(benchmark, ScaleLevel::DEFAULT,
+                                    config, "", refs);
+        job.l2Model = L2ModelKind::BOTH;
+        job.missTrace = trace;
+        jobs.push_back(std::move(job));
+    }
+    SweepRunner runner(1);
+    runner.setCacheReport(false);
+    double worst = 0;
+    for (const SweepResult &r : runner.run(jobs))
+        worst = std::max(worst, r.output.l2Analytic.absErrorPct);
+    return worst;
+}
+
+} // namespace
+
+TEST(AnalyticL2Model, WritebackFillsAreTheWholeTable4Gap)
+{
+    // The in-system L2 absorbs every L1 write-back (writebackToMemory
+    // fills it dirty), while the analytic model prices the demand
+    // stream's reuse profile alone. On `is` at the Table 4 grid's
+    // 1.5 M references those fills are worth 12.894 points of L2 miss
+    // ratio, the worst case of the grid; replaying the same stream
+    // without its WRITEBACK records closes the gap exactly.
+    constexpr std::uint64_t kGridRefs = 1500000;
+    const Benchmark &b = findBenchmark("is");
+    auto workload = b.makeWorkload(ScaleLevel::DEFAULT);
+    TruncatingSource limited(*workload, kGridRefs);
+    MemorySystemConfig front = paperSystemConfig();
+    front.useStreams = false;
+    auto full = std::make_shared<const MissTrace>(
+        recordMissTrace(limited, front));
+    auto demand = std::make_shared<const MissTrace>(withoutWritebacks(*full));
+    ASSERT_LT(demand->size(), full->size());
+
+    EXPECT_NEAR(maxTable4Error("is", full, kGridRefs), 12.893813, 1e-6);
+    EXPECT_LT(maxTable4Error("is", demand, kGridRefs), 1e-9);
 }

@@ -195,7 +195,25 @@ TEST(SweepExport, GoldenJsonForZeroSweep)
                           "\"sections\":") +
                   kZeroSections +
                   "}],\"aggregate\":{\"jobs\":1,\"references\":0,"
-                  "\"wall_seconds\":0,\"refs_per_second\":0}}\n");
+                  "\"wall_seconds\":0,\"elapsed_seconds\":0,"
+                  "\"refs_per_second\":0}}\n");
+}
+
+TEST(SweepExport, AggregateCarriesElapsedNextToSummedWall)
+{
+    // Two jobs that each ran 0.5 s on parallel workers: the summed job
+    // time reads 1 s, the sweep's own wall clock 0.75 s.
+    SweepResult a;
+    a.label = "a";
+    a.wallSeconds = 0.5;
+    SweepResult b = a;
+    b.label = "b";
+    std::ostringstream os;
+    writeSweepJson({a, b}, os, nullptr, 0.75);
+    EXPECT_NE(os.str().find("\"aggregate\":{\"jobs\":2,\"references\":0,"
+                            "\"wall_seconds\":1,\"elapsed_seconds\":0.75,"),
+              std::string::npos)
+        << os.str();
 }
 
 TEST(SweepExport, CsvHasHeaderRowsAndAggregate)

@@ -262,3 +262,153 @@ TEST(MissTrace, DemandStreamDrivesL2StudyIdentically)
         EXPECT_EQ(got[i].sampledAccesses, want[i].sampledAccesses) << i;
     }
 }
+
+// ---------------------------------------------------------------------
+// The packed record layout: every field a MissRecord carries below the
+// L1 must come back from forEach() exactly as appended.
+
+namespace {
+
+struct Appended
+{
+    MissRecord::Kind kind;
+    MemAccess access;
+    std::uint64_t dL1Hit;
+    std::uint64_t dVictimHit;
+    std::uint64_t dSwPrefetch;
+};
+
+void
+expectRoundTrip(const MissTrace &trace, const std::vector<Appended> &want)
+{
+    ASSERT_EQ(trace.size(), want.size());
+    std::size_t i = 0;
+    trace.forEach([&](const MissRecord &rec) {
+        ASSERT_LT(i, want.size());
+        const Appended &w = want[i];
+        EXPECT_EQ(rec.kind, w.kind) << i;
+        EXPECT_EQ(rec.access.addr, w.access.addr) << i;
+        EXPECT_EQ(rec.access.type, w.access.type) << i;
+        EXPECT_EQ(rec.access.size, w.access.size) << i;
+        EXPECT_EQ(rec.access.pc, 0u) << i; // Never stored.
+        EXPECT_EQ(rec.dL1HitCycles, w.dL1Hit) << i;
+        EXPECT_EQ(rec.dVictimHitCycles, w.dVictimHit) << i;
+        EXPECT_EQ(rec.dSwPrefetchCycles, w.dSwPrefetch) << i;
+        ++i;
+    });
+    EXPECT_EQ(i, want.size());
+}
+
+} // namespace
+
+static_assert(sizeof(MissTrace::Packed) == 16,
+              "a recorded post-L1 event is stored in 16 bytes");
+
+TEST(MissTraceLayout, RoundTripsNarrowAndWideRecords)
+{
+    constexpr std::uint64_t kU32Max = 0xffffffffu;
+    const std::vector<Appended> want = {
+        {MissRecord::Kind::DEMAND, makeLoad(0x1000, 8, 0x400), 3, 0, 0},
+        {MissRecord::Kind::DEMAND, makeStore(0x2000, 4), kU32Max, 0, 0},
+        // dL1Hit >= 2^32 escapes to the wide store.
+        {MissRecord::Kind::DEMAND, makeIfetch(0x3000), kU32Max + 1, 0, 0},
+        {MissRecord::Kind::WRITEBACK, makeLoad(0xffffffffffffffe0ull), 0,
+         0, 0},
+        // Any victim-hit or software-prefetch delta escapes too.
+        {MissRecord::Kind::SW_PREFETCH, makePrefetch(0x5000), 7, 0, 2},
+        {MissRecord::Kind::DEMAND, makeLoad(0x6000, 1), 0, 9, 0},
+        {MissRecord::Kind::DEMAND, makeLoad(0x7000), 1ull << 40,
+         1ull << 33, 1ull << 35},
+        {MissRecord::Kind::DEMAND, makeLoad(0x8000), 5, 0, 0},
+    };
+    MissTrace trace;
+    for (const Appended &a : want)
+        trace.append(a.kind, a.access, a.dL1Hit, a.dVictimHit,
+                     a.dSwPrefetch);
+    EXPECT_EQ(trace.wideRecords(), 4u);
+    expectRoundTrip(trace, want);
+    trace.shrink();
+    expectRoundTrip(trace, want);
+}
+
+TEST(MissTraceLayout, WideRecordsStraddleChunkBoundaries)
+{
+    // Wide records on both sides of the record store's first chunk
+    // boundary, and enough of them to cross the wide store's own.
+    const std::size_t n = MissTrace::kChunkRecords + 64;
+    std::vector<Appended> want;
+    want.reserve(n);
+    for (std::size_t i = 0; i < n; ++i) {
+        const bool near_edge = i + 3 >= MissTrace::kChunkRecords &&
+                               i < MissTrace::kChunkRecords + 3;
+        const bool wide = near_edge || i % 13 == 0;
+        want.push_back({i % 3 == 0 ? MissRecord::Kind::WRITEBACK
+                                   : MissRecord::Kind::DEMAND,
+                        makeLoad(0x10000 + i * 32),
+                        wide ? (std::uint64_t{1} << 32) + i : i % 97,
+                        wide ? i : 0, 0});
+    }
+    MissTrace trace;
+    for (const Appended &a : want)
+        trace.append(a.kind, a.access, a.dL1Hit, a.dVictimHit,
+                     a.dSwPrefetch);
+    ASSERT_GT(trace.wideRecords(), MissTrace::kWideChunkRecords);
+    expectRoundTrip(trace, want);
+    trace.shrink();
+    expectRoundTrip(trace, want);
+}
+
+TEST(MissTraceLayout, BytesCountsBothStores)
+{
+    MissTrace empty;
+    const std::size_t base = empty.bytes();
+    EXPECT_EQ(base, sizeof(MissTrace));
+
+    MissTrace narrow;
+    narrow.append(MissRecord::Kind::DEMAND, makeLoad(0x40), 1, 0, 0);
+    narrow.shrink();
+    EXPECT_EQ(narrow.bytes(), base + sizeof(MissTrace::Packed));
+
+    MissTrace wide;
+    wide.append(MissRecord::Kind::DEMAND, makeLoad(0x40), 1, 2, 0);
+    wide.shrink();
+    EXPECT_EQ(wide.bytes(), base + sizeof(MissTrace::Packed) +
+                                sizeof(MissTrace::WideDeltas));
+}
+
+TEST(MissTraceLayout, VictimAndSoftwarePrefetchRecordingReplaysExactly)
+{
+    // A victim buffer puts victim-hit cycles between misses and
+    // software prefetches put issue cycles there: both force wide
+    // records, which must replay bit-identical to the full run.
+    std::vector<MemAccess> refs;
+    for (std::uint64_t i = 0; i < 40000; ++i) {
+        Addr a = (i * 40) % (1 << 19);
+        refs.push_back(makeIfetch(0x100000 + (i % 4096) * 4));
+        if (i % 2 == 0)
+            refs.push_back(makePrefetch(a + 96));
+        refs.push_back(i % 3 == 0 ? makeStore(a) : makeLoad(a));
+        // Ping-pong between conflicting blocks the victim buffer
+        // catches.
+        refs.push_back(makeLoad((i % 7) * 8192 + 0x200000));
+    }
+    for (const MemorySystemConfig &base :
+         {paperSystemConfig(6),
+          paperSystemConfig(10, AllocationPolicy::UNIT_FILTER,
+                            StrideDetection::CZONE, 18)}) {
+        MemorySystemConfig config = base;
+        config.victimBufferEntries = 4;
+        config.busCyclesPerBlock = 2;
+
+        VectorSource rec_src(refs);
+        MissTrace trace = recordMissTrace(rec_src, config);
+        EXPECT_GT(trace.summary().victimHits, 0u);
+        EXPECT_GT(trace.summary().swPrefetchesIssued, 0u);
+        EXPECT_GT(trace.wideRecords(), 0u);
+        EXPECT_LT(trace.wideRecords(), trace.size());
+
+        VectorSource src(refs);
+        expectIdentical(replayOnce(trace, config), runOnce(src, config),
+                        "synthetic/victim+sw_prefetch");
+    }
+}

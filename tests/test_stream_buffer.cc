@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "stream/stream_buffer.hh"
 
 using namespace sbsim;
@@ -209,13 +211,14 @@ TEST(StreamBuffer, ConsumeAtSkipsAndRefills)
     StreamBuffer sb(4, kBlock);
     allocate(sb, 0x1000, kBlock);
     std::uint32_t skipped = 0;
+    std::vector<BlockAddr> extra_refills;
     // Entries are [0x1020, 0x1040, 0x1060, 0x1080]; hit position 2.
-    StreamConsume c = sb.consumeAt(2, /*now=*/7, skipped);
+    StreamConsume c = sb.consumeAt(2, /*now=*/7, skipped, extra_refills);
     EXPECT_EQ(c.block, 0x1060u);
     EXPECT_EQ(skipped, 2u); // 0x1020 and 0x1040 were bypassed.
     // FIFO refilled to full depth: 3 new prefetches in total.
     EXPECT_TRUE(c.refillIssued);
-    EXPECT_EQ(c.extraRefills.size(), 2u);
+    EXPECT_EQ(extra_refills.size(), 2u);
     // New head continues past the hit.
     EXPECT_TRUE(sb.probeHead(0x1080));
     EXPECT_EQ(sb.hitRun(), 1u);
@@ -226,8 +229,9 @@ TEST(StreamBuffer, ConsumeAtZeroEqualsConsumeHead)
     StreamBuffer sb(2, kBlock);
     allocate(sb, 0x1000, kBlock);
     std::uint32_t skipped = 0;
-    StreamConsume c = sb.consumeAt(0, 1, skipped);
+    std::vector<BlockAddr> extra_refills;
+    StreamConsume c = sb.consumeAt(0, 1, skipped, extra_refills);
     EXPECT_EQ(c.block, 0x1020u);
     EXPECT_EQ(skipped, 0u);
-    EXPECT_TRUE(c.extraRefills.empty());
+    EXPECT_TRUE(extra_refills.empty());
 }

@@ -224,9 +224,9 @@ sweepCommand(const Options &o, std::ostream &out)
         std::ofstream js = openExport(o.jsonOut);
         if (runner.traceCacheEnabled()) {
             TraceCacheStats stats = TraceCache::instance().stats();
-            writeSweepJson(results, js, &stats);
+            writeSweepJson(results, js, &stats, wall);
         } else {
-            writeSweepJson(results, js);
+            writeSweepJson(results, js, nullptr, wall);
         }
     }
     if (!o.csvOut.empty()) {

@@ -84,6 +84,7 @@ def normalize_sweep(doc_text):
         job["refs_per_second"] = 0
     agg = doc.get("aggregate", {})
     agg["wall_seconds"] = 0
+    agg["elapsed_seconds"] = 0
     agg["refs_per_second"] = 0
     agg.pop("trace_cache", None)
     return doc

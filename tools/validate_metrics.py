@@ -118,7 +118,7 @@ def self_test(schema):
                   "refs_per_second": None,
                   "sections": zero_sections()}],
         "aggregate": {"jobs": 1, "references": 0, "wall_seconds": 0,
-                      "refs_per_second": None},
+                      "elapsed_seconds": 0, "refs_per_second": None},
     }
     sweep_with_cache = {
         **good_sweep,
@@ -177,6 +177,18 @@ def self_test(schema):
         ("run without sections rejected",
          {"schema": "streamsim-metrics", "schema_version": 1,
           "kind": "run"}, False),
+        ("sweep without elapsed_seconds rejected",
+         {**good_sweep,
+          "aggregate": {k: v for k, v in good_sweep["aggregate"].items()
+                        if k != "elapsed_seconds"}}, False),
+        ("negative elapsed_seconds rejected",
+         {**good_sweep,
+          "aggregate": {**good_sweep["aggregate"],
+                        "elapsed_seconds": -0.5}}, False),
+        ("null elapsed_seconds rejected",
+         {**good_sweep,
+          "aggregate": {**good_sweep["aggregate"],
+                        "elapsed_seconds": None}}, False),
         ("sweep without aggregate rejected",
          {k: v for k, v in good_sweep.items() if k != "aggregate"},
          False),
